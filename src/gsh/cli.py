@@ -4,7 +4,7 @@ Subcommands: classify, solve, check-dc, sublevel, counterexample,
 transform.  Operators and right-hand sides are JSON files; reports are
 emitted as JSON or text.  Exit codes: 0 decided/succeeded, 2 input
 error, 3 undecided at the search bound, 4 compatibility (membership)
-failure, 5 verification failure.
+failure, 5 the solve's residual check failed.
 """
 
 from __future__ import annotations
@@ -55,6 +55,20 @@ def _load_operator(path: str):
         return operator_from_json(obj)
     except (KeyError, ValueError, TypeError) as exc:
         raise SystemExit_(EXIT_INPUT, f"invalid operator file {path}: {exc}")
+
+
+def _load_field(path: str, op):
+    from .fourier import SpectralField
+    obj = _load_json(path)
+    try:
+        g = SpectralField.from_json(obj)
+    except (KeyError, ValueError, TypeError) as exc:
+        raise SystemExit_(EXIT_INPUT, f"invalid field file {path}: {exc}")
+    if (g.r, g.s) != (op.r, op.s):
+        raise SystemExit_(EXIT_INPUT,
+                          f"field {path} has r = {g.r}, s = {g.s}; the "
+                          f"operator has r = {op.r}, s = {op.s}")
+    return g
 
 
 def _emit(report: dict, args) -> None:
@@ -113,10 +127,9 @@ def _cmd_classify(args) -> int:
 
 def _cmd_solve(args) -> int:
     from . import global_solver
-    from .fourier import SpectralField
     from .ode_solver import ModeUnsolvable
     op = _load_operator(args.operator)
-    g = SpectralField.from_json(_load_json(args.rhs))
+    g = _load_field(args.rhs, op)
     solve_kwargs = dict(tol=args.tolerance)
     try:
         if args.parallel:
@@ -285,11 +298,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["json", "text"], default="json")
     p.add_argument("--bound", type=int, default=16,
                    help="mode/search bound for sweeps")
-    p.add_argument("--grid", type=int, default=512,
-                   help="time-grid resolution for synthesis")
     p.add_argument("--tolerance", type=float, default=1e-9)
     p.add_argument("--parallel", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the report to a file instead of stdout")
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -21,6 +21,7 @@ import numpy as np
 from .numerics import (TAG_LIOUVILLE, TAG_NON_LIOUVILLE, TAG_RATIONAL,
                        TaggedReal, combine_tagged, liouville_tail_log10,
                        rational_symbol_floor)
+from .operator_model import alpha_ball, mode_box
 
 HOLDS = "HOLDS"
 FAILS = "FAILS"
@@ -111,31 +112,19 @@ def exp_gap_lower_bound(z: complex) -> float:
     return float(-w.real + np.log(abs(_expm1c(w))))
 
 
-def _alpha_iter(s: int, weight2: int):
-    if s == 0:
-        yield ()
-        return
-    for head in range(-weight2, weight2 + 1):
-        for tail in _alpha_iter(s - 1, weight2 - abs(head)):
-            yield (head,) + tail
-
-
 def _probe(op, bound: int) -> tuple[float, float, float]:
     """(fitted M, fitted N, raw sweep minimum) over nonzero-symbol modes."""
+    symbol = op.constant_symbol
     entries = []
-    for tau in range(-bound, bound + 1):
-        rem = bound - abs(tau)
-        for xi in itertools.product(range(-rem, rem + 1), repeat=op.r):
-            rem2 = rem - sum(abs(x) for x in xi)
-            for alpha2 in _alpha_iter(op.s, 2 * rem2):
-                sig = op.symbol_L0(tau, xi, alpha2)
-                mag = abs(sig)
-                if op.symbol_is_zero(tau, xi, alpha2):
-                    continue
-                if mag == 0.0:
-                    continue
-                w = abs(tau) + sum(abs(x) for x in xi) + sum(abs(a) for a in alpha2) / 2.0
-                entries.append((max(w, 1.0), mag))
+    for tau, xi, alpha2 in mode_box(op.r, op.s, bound):
+        v = (tau, *xi, *alpha2, 1)
+        if symbol.is_zero(v):
+            continue
+        mag = abs(symbol.value(v))
+        if mag == 0.0:
+            continue
+        w = abs(tau) + sum(abs(x) for x in xi) + sum(abs(a) for a in alpha2) / 2.0
+        entries.append((max(w, 1.0), mag))
     if not entries:
         return 1.0, 0.0, math.inf
     sweep_min = min(m for _, m in entries)
@@ -255,7 +244,7 @@ def _find_cancelling_direction(r, s, liou_j, b0, f0, bound):
     for xi in itertools.product(range(-bound, bound + 1), repeat=r):
         if xi[liou_j] <= 0:
             continue
-        for alpha2 in _alpha_iter(s, 2 * bound):
+        for alpha2 in alpha_ball(s, 2 * bound):
             total = sum(b0[j] * xi[j] for j in range(r)) \
                 + sum(f0[k] * Fraction(alpha2[k], 2) for k in range(s))
             if total == 0:

@@ -278,6 +278,9 @@ class SpectralField:
         for m in obj.get("modes", []):
             mode = ModeIndex(xi=tuple(m["xi"]), l2=tuple(m["l2"]),
                              alpha2=tuple(m["alpha2"]), beta2=tuple(m["beta2"]))
+            if len(mode.xi) != out.r or not (
+                    len(mode.l2) == len(mode.alpha2) == len(mode.beta2) == out.s):
+                raise ValueError(f"mode {mode} does not fit r = {out.r}, s = {out.s}")
             out.set(mode, np.array(m["re"], dtype=float)
                     + 1j * np.array(m["im"], dtype=float))
         return out

@@ -17,12 +17,16 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 from typing import Optional
 
 import numpy as np
 
-from .numerics import (IN_LATTICE, NOT_IN_LATTICE, UNKNOWN, LatticeResult,
-                       TaggedReal, classify_lattice_membership, combine_tagged)
+from .numerics import (IN_LATTICE, NOT_IN_LATTICE, TAG_LIOUVILLE,
+                       TAG_NON_LIOUVILLE, TAG_UNSPECIFIED, UNKNOWN,
+                       LatticeResult, TaggedReal, classify_lattice_membership,
+                       combine_tagged)
 from .trigpoly import TrigPoly, changes_sign
 
 YES, NO = "YES", "NO"
@@ -144,38 +148,26 @@ class EvolutionOperator:
 
     # -- symbol ------------------------------------------------------------
 
+    @cached_property
+    def constant_symbol(self) -> "ConstantSymbol":
+        """The constant-part symbol, compiled from the means on first use.
+
+        It is not recompiled: the coefficients and q must not be changed
+        after the first symbol evaluation.
+        """
+        return ConstantSymbol(self)
+
     def inner_symbol(self, tau: int, xi, alpha2) -> tuple[TaggedReal, TaggedReal]:
         """(Re, Im) of tau + <c0, xi> + <d0, alpha> - i q, exactly tagged."""
-        re_terms = [(Fraction(tau), TaggedReal.rational(1)),
-                    (Fraction(1), self.q_im)]
-        im_terms = [(Fraction(-1), self.q_re)]
-        for j in range(self.r):
-            re_terms.append((Fraction(xi[j]), self.a[j].mean()))
-            im_terms.append((Fraction(xi[j]), self.b[j].mean()))
-        for k in range(self.s):
-            re_terms.append((Fraction(alpha2[k], 2), self.e[k].mean()))
-            im_terms.append((Fraction(alpha2[k], 2), self.f[k].mean()))
-        return combine_tagged(re_terms), combine_tagged(im_terms)
+        return self.constant_symbol.parts(_mode_vector(tau, xi, alpha2))
 
     def symbol_L0(self, tau: int, xi, alpha2) -> complex:
         """sigma(tau, xi, alpha) = i * (inner symbol)."""
-        re, im = self.inner_symbol(tau, xi, alpha2)
-        re_v = float(re.value) if re.is_rational() else re.approx
-        im_v = float(im.value) if im.is_rational() else im.approx
-        return complex(-im_v, re_v)
+        return self.constant_symbol.value(_mode_vector(tau, xi, alpha2))
 
     def symbol_is_zero(self, tau: int, xi, alpha2) -> Optional[bool]:
         """Exact zero test of the symbol; None when undecidable."""
-        re, im = self.inner_symbol(tau, xi, alpha2)
-        for part in (re, im):
-            if part.is_rational():
-                if part.value != 0:
-                    return False
-            elif part.tag == "unspecified":
-                return None
-            else:
-                return False  # a genuinely irrational quantity is nonzero
-        return True
+        return self.constant_symbol.is_zero(_mode_vector(tau, xi, alpha2))
 
     # -- mode data ---------------------------------------------------------
 
@@ -194,25 +186,162 @@ class EvolutionOperator:
         """(theta0, exact pair when rational, resonance decision).
 
         theta0 = i*(Re inner) - (Im inner) at tau = 0; the mode is resonant
-        iff theta0 in iZ, i.e. Im inner == 0 and Re inner in Z.
+        iff theta0 in iZ, i.e. Im inner == 0 and Re inner in Z (an
+        irrational real part is never an integer).
         """
         re, im = self.inner_symbol(0, xi, alpha2)
-        re_v = float(re.value) if re.is_rational() else re.approx
-        im_v = float(im.value) if im.is_rational() else im.approx
-        theta0 = complex(-im_v, re_v)
+        theta0 = self.symbol_L0(0, xi, alpha2)
         exact = None
         if re.is_rational() and im.is_rational():
             exact = (-im.value, re.value)
-        if im.is_rational() and im.value == 0:
-            if re.is_rational():
-                resonant = re.value.denominator == 1
-            else:
-                resonant = False  # irrational real part is never an integer
-        elif im.is_rational() or im.tag in ("non_liouville", "liouville_standard"):
-            resonant = False
-        else:
-            resonant = False
+        resonant = (exact is not None and im.value == 0
+                    and re.value.denominator == 1)
         return theta0, exact, resonant
+
+
+# ---------------------------------------------------------------------------
+# The compiled constant-part symbol
+# ---------------------------------------------------------------------------
+
+
+def _mode_vector(tau, xi, alpha2) -> tuple[int, ...]:
+    """The point v = (tau, xi, alpha2, 1) at which the affine forms act."""
+    return (int(tau), *map(int, xi), *map(int, alpha2), 1)
+
+
+def _dot(row, v) -> int:
+    return sum(map(mul, row, v))
+
+
+class _AffineForm:
+    """One real part of the inner symbol as an exact affine form in v.
+
+    Its rational part is row . v / den.  Each irrational atom (the key of
+    an irrational mean or of q) enters with coefficient atom_row . v / 2,
+    and the last occurrence of that key supplies the tag, as in
+    ``combine_tagged``.  ``terms`` keeps combine_tagged's term order as
+    (index, numerator, denominator, approx): the float approximation of an
+    irrational value is the same sum, term by term, that combine_tagged
+    forms, so reported probe constants do not depend on the compilation.
+    """
+
+    def __init__(self, terms: list[tuple[int, Fraction, TaggedReal]], n: int):
+        rational = [Fraction(0)] * n
+        atoms: dict[object, tuple[list[int], TaggedReal]] = {}
+        for idx, scale, tr in terms:
+            if tr.is_rational():
+                rational[idx] += scale * tr.value
+            else:
+                row = atoms[tr.key][0] if tr.key in atoms else [0] * n
+                row[idx] += int(2 * scale)
+                atoms[tr.key] = (row, tr)
+        self.den = math.lcm(*(x.denominator for x in rational))
+        self.row = tuple(int(x * self.den) for x in rational)
+        self.atoms = tuple((tuple(row), tr) for row, tr in atoms.values())
+        self.terms = tuple((idx, scale.numerator, scale.denominator, tr.approx)
+                           for idx, scale, tr in terms)
+
+    def _live(self, v) -> list[tuple[int, TaggedReal]]:
+        return [(c, tr) for row, tr in self.atoms if (c := _dot(row, v))]
+
+    def _float_sum(self, v) -> float:
+        acc = 0.0
+        for idx, num, den, approx in self.terms:
+            acc += num * v[idx] / den * approx
+        return acc
+
+    def tagged(self, v) -> TaggedReal:
+        live = self._live(v)
+        value = Fraction(_dot(self.row, v), self.den)
+        if not live:
+            return TaggedReal.rational(value)
+        approx = self._float_sum(v)
+        if len(live) == 1 and live[0][1].tag in (TAG_NON_LIOUVILLE, TAG_LIOUVILLE):
+            c, tr = live[0]
+            return TaggedReal(approx=approx, tag=tr.tag, generator=tr.generator,
+                              key=(tr.key, Fraction(c, 2), value))
+        return TaggedReal.unspecified(approx)
+
+    def approx(self, v) -> float:
+        if self._live(v):
+            return self._float_sum(v)
+        return _dot(self.row, v) / self.den
+
+    def is_zero(self, v) -> Optional[bool]:
+        """Exact zero test; None when the value is an unspecified irrational."""
+        live = self._live(v)
+        if not live:
+            return _dot(self.row, v) == 0
+        if len(live) == 1 and live[0][1].tag != TAG_UNSPECIFIED:
+            return False  # a genuinely irrational quantity is nonzero
+        return None
+
+
+class ConstantSymbol:
+    """tau + <c0, xi> + <d0, alpha> - i q as two exact affine forms.
+
+    The means are computed once.  Every method takes the mode vector
+    v = (tau, xi, alpha2, 1) of integers and evaluates with Python ints,
+    which are exact for any denominator.
+    """
+
+    def __init__(self, op: "EvolutionOperator"):
+        r, s = op.r, op.s
+        one = 1 + r + s                      # index of the constant 1 in v
+        half = Fraction(1, 2)
+        re_terms = [(0, Fraction(1), TaggedReal.rational(1)),
+                    (one, Fraction(1), op.q_im)]
+        im_terms = [(one, Fraction(-1), op.q_re)]
+        for j in range(r):
+            re_terms.append((1 + j, Fraction(1), op.a[j].mean()))
+            im_terms.append((1 + j, Fraction(1), op.b[j].mean()))
+        for k in range(s):
+            re_terms.append((1 + r + k, half, op.e[k].mean()))
+            im_terms.append((1 + r + k, half, op.f[k].mean()))
+        self.re = _AffineForm(re_terms, one + 1)
+        self.im = _AffineForm(im_terms, one + 1)
+
+    def parts(self, v) -> tuple[TaggedReal, TaggedReal]:
+        return self.re.tagged(v), self.im.tagged(v)
+
+    def value(self, v) -> complex:
+        """sigma = i * (inner symbol), irrational parts by their approx."""
+        return complex(-self.im.approx(v), self.re.approx(v))
+
+    def is_zero(self, v) -> Optional[bool]:
+        """Re is tested before Im: an undecidable Re answers None."""
+        zero = self.re.is_zero(v)
+        return self.im.is_zero(v) if zero else zero
+
+
+# ---------------------------------------------------------------------------
+# Mode box
+# ---------------------------------------------------------------------------
+
+
+def alpha_ball(s: int, weight2: int):
+    """All alpha2 in Z^s with sum |alpha2| <= weight2, lexicographically."""
+    if s == 0:
+        yield ()
+        return
+    for head in range(-weight2, weight2 + 1):
+        for tail in alpha_ball(s - 1, weight2 - abs(head)):
+            yield (head,) + tail
+
+
+def mode_box(r: int, s: int, bound: int):
+    """(tau, xi, alpha2) with |tau| + |xi|_1 + |alpha2|_1 / 2 <= bound.
+
+    tau ascends; xi and alpha2 run lexicographically.  With s = 0 the xi
+    loop covers the whole cube [-rem, rem]^r, rem = bound - |tau|, rather
+    than the l1 ball.
+    """
+    for tau in range(-bound, bound + 1):
+        rem = bound - abs(tau)
+        for xi in itertools.product(range(-rem, rem + 1), repeat=r):
+            rem2 = rem - sum(abs(x) for x in xi)
+            for alpha2 in alpha_ball(s, 2 * rem2):
+                yield tau, xi, alpha2
 
 
 # ---------------------------------------------------------------------------
@@ -383,16 +512,6 @@ class ZeroSetReport:
     bound: int
 
 
-def _alpha_iter(s: int, weight2: int):
-    """All alpha2 in Z^s with sum |alpha2| <= weight2."""
-    if s == 0:
-        yield ()
-        return
-    for head in range(-weight2, weight2 + 1):
-        for tail in _alpha_iter(s - 1, weight2 - abs(head)):
-            yield (head,) + tail
-
-
 def zero_set(op: EvolutionOperator, bound: int = 8) -> ZeroSetReport:
     """Zeros of the constant-part symbol with |tau| + |xi| + |l| <= bound.
 
@@ -400,15 +519,11 @@ def zero_set(op: EvolutionOperator, bound: int = 8) -> ZeroSetReport:
     yields an infinite ladder in l.  Exact emptiness/finiteness comes from
     the lattice analysis below when the data permit.
     """
+    symbol = op.constant_symbol
     elements = []
-    for tau in range(-bound, bound + 1):
-        rem = bound - abs(tau)
-        for xi in itertools.product(range(-rem, rem + 1), repeat=op.r):
-            rem2 = rem - sum(abs(x) for x in xi)
-            for alpha2 in _alpha_iter(op.s, 2 * rem2):
-                if op.symbol_is_zero(tau, xi, alpha2):
-                    l2 = tuple(abs(a) for a in alpha2)
-                    elements.append((tau, xi, l2, alpha2))
+    for tau, xi, alpha2 in mode_box(op.r, op.s, bound):
+        if symbol.is_zero((tau, *xi, *alpha2, 1)):
+            elements.append((tau, xi, tuple(abs(a) for a in alpha2), alpha2))
     empty, finite = zero_set_finiteness(op)
     if finite is None:
         infinite = op.s >= 1 and bool(elements)
@@ -437,31 +552,25 @@ def zero_set_finiteness(op: EvolutionOperator) -> tuple[Optional[bool], Optional
     # irrational key -> (coefficient row, constant part)
     extra: dict[object, tuple[list[Fraction], Fraction]] = {}
 
-    def add_term(row_idx: int, var: Optional[int], fn_mean_rat: Fraction,
-                 irr: Optional[TaggedReal], scale: Fraction, row, rhs_sign):
-        nonlocal re_rhs, im_rhs
-        if var is not None:
-            row[var] += fn_mean_rat * scale
-            if irr is not None:
-                if irr.tag == "unspecified":
-                    raise _Undecidable()
-                erow, econst = extra.setdefault(irr.key, ([Fraction(0)] * nvar, Fraction(0)))
-                erow[var] += scale
+    def add_term(var: int, fn: CoefFn, scale: Fraction, row: list[Fraction]):
+        row[var] += fn.mean_rational_part() * scale
+        irr = fn.irrational_offset()
+        if irr is not None:
+            if irr.tag == "unspecified":
+                raise _Undecidable()
+            erow = extra.setdefault(irr.key, ([Fraction(0)] * nvar, Fraction(0)))[0]
+            erow[var] += scale
 
     class _Undecidable(Exception):
         pass
 
     try:
         for j in range(op.r):
-            add_term(0, 1 + j, op.a[j].mean_rational_part(),
-                     op.a[j].irrational_offset(), Fraction(1), re_row, 1)
-            add_term(1, 1 + j, op.b[j].mean_rational_part(),
-                     op.b[j].irrational_offset(), Fraction(1), im_row, 1)
+            add_term(1 + j, op.a[j], Fraction(1), re_row)
+            add_term(1 + j, op.b[j], Fraction(1), im_row)
         for k in range(op.s):
-            add_term(0, 1 + op.r + k, op.e[k].mean_rational_part(),
-                     op.e[k].irrational_offset(), Fraction(1, 2), re_row, 1)
-            add_term(1, 1 + op.r + k, op.f[k].mean_rational_part(),
-                     op.f[k].irrational_offset(), Fraction(1, 2), im_row, 1)
+            add_term(1 + op.r + k, op.e[k], Fraction(1, 2), re_row)
+            add_term(1 + op.r + k, op.f[k], Fraction(1, 2), im_row)
     except _Undecidable:
         return None, None
     # q contributions
@@ -699,7 +808,7 @@ def detect_CS(op: EvolutionOperator, search_bound: int = 8) -> Optional[tuple]:
     """
     candidates = []
     for xi in itertools.product(range(-search_bound, search_bound + 1), repeat=op.r):
-        for alpha2 in _alpha_iter(op.s, 2 * search_bound):
+        for alpha2 in alpha_ball(op.s, 2 * search_bound):
             w = sum(abs(x) for x in xi) + sum(abs(a) for a in alpha2)
             if w == 0 or w > 2 * search_bound:
                 continue
@@ -781,8 +890,11 @@ def classify(op: EvolutionOperator, bound: int = 16,
     S = structure_report(op)
     span1_ok = (S.span_dim == 1 and not S.any_sign_change)
 
-    def l0_gs_verdict(clause: str) -> Verdict:
+    def l0_verdicts(clause: str) -> tuple[Verdict, Verdict]:
         dc = diophantine.dc_check(op, bound=min(bound, 10))
+        return l0_gs_verdict(dc, clause), l0_gh_verdict(dc, clause)
+
+    def l0_gs_verdict(dc, clause: str) -> Verdict:
         if dc.status == diophantine.HOLDS:
             return Verdict(YES, GS, clause, witness={"DC": dc.summary()})
         if dc.status == diophantine.FAILS:
@@ -790,8 +902,7 @@ def classify(op: EvolutionOperator, bound: int = 16,
         return Verdict(UNKNOWN_AT_BOUND, GS, clause,
                        witness={"DC": dc.summary(), "bound": bound})
 
-    def l0_gh_verdict(clause: str) -> Verdict:
-        dc = diophantine.dc_check(op, bound=min(bound, 10))
+    def l0_gh_verdict(dc, clause: str) -> Verdict:
         if dc.status == diophantine.FAILS:
             return Verdict(NO, GH, clause, witness={"DC": dc.summary()})
         zs = zero_set(op, bound=zero_bound)
@@ -808,9 +919,9 @@ def classify(op: EvolutionOperator, bound: int = 16,
                        witness={"DC": dc.summary(), "bound": bound})
 
     if S.is_imag_constant:
-        return l0_gs_verdict(CLAUSE_I), l0_gh_verdict(CLAUSE_I)
+        return l0_verdicts(CLAUSE_I)
     if span1_ok:
-        return l0_gs_verdict(CLAUSE_II), l0_gh_verdict(CLAUSE_II)
+        return l0_verdicts(CLAUSE_II)
 
     # (b, f) nonconstant without the span-1 no-sign-change structure:
     # GH fails outright; GS hinges on clause iii.

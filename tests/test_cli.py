@@ -98,6 +98,35 @@ def test_solve_membership_failure(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["status"] == "UNSOLVABLE"
 
 
+@pytest.mark.parametrize("field_r", [0, 2])
+def test_solve_rejects_a_field_of_other_torus_dimension(tmp_path, capsys,
+                                                         field_r):
+    # r = 2 used to drop the second torus frequency and report SOLVED;
+    # r = 0 used to raise IndexError
+    op_path = _write_op(tmp_path, op_rational_constant())  # r = 1, s = 1
+    g = random_field(np.random.default_rng(0), field_r, 1, 1, nt=16,
+                     t_bandwidth=1)
+    g_path = tmp_path / "g.json"
+    g_path.write_text(json.dumps(g.to_json()))
+    assert cli.main(["solve", op_path, str(g_path)]) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert f"r = {field_r}" in captured.err
+
+
+def test_solve_rejects_a_mode_index_of_wrong_length(tmp_path, capsys):
+    op_path = _write_op(tmp_path, op_rational_constant())
+    g = SpectralField(1, 1, 1, 16)
+    g.set(ModeIndex(xi=(0,), l2=(0,), alpha2=(0,), beta2=(0,)), 1.0)
+    obj = g.to_json()
+    obj["modes"][0]["xi"] = [0, 1]
+    g_path = tmp_path / "g.json"
+    g_path.write_text(json.dumps(obj))
+    assert cli.main(["solve", op_path, str(g_path)]) == cli.EXIT_INPUT
+    assert "does not fit r = 1, s = 1" in capsys.readouterr().err
+
+
 def test_check_dc_exit_codes(tmp_path, capsys):
     assert cli.main(["check-dc", _write_op(tmp_path, op_exact_floor())]) \
         == cli.EXIT_OK
