@@ -130,12 +130,8 @@ def _cmd_solve(args) -> int:
     from .ode_solver import ModeUnsolvable
     op = _load_operator(args.operator)
     g = _load_field(args.rhs, op)
-    solve_kwargs = dict(tol=args.tolerance)
     try:
-        if args.parallel:
-            rep = _solve_parallel(op, g, args)
-        else:
-            rep = global_solver.solve(op, g, **solve_kwargs)
+        rep = global_solver.solve(op, g, tol=args.tolerance)
     except ModeUnsolvable as exc:
         _emit({"status": "UNSOLVABLE",
                "compatibility": abs(exc.compatibility)}, args)
@@ -152,42 +148,6 @@ def _cmd_solve(args) -> int:
     if rep.residual_sup > max(args.tolerance, 1e-12) * 100:
         return EXIT_VERIFICATION
     return EXIT_OK
-
-
-def _solve_parallel(op, g, args):
-    """Chunk the mode table and solve chunks on a thread pool."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    from . import global_solver
-    from .fourier import SpectralField
-    modes = list(g.table)
-    if len(modes) < 2:
-        return global_solver.solve(op, g, tol=args.tolerance)
-    ctx_of = global_solver._mode_context_cache(op)
-    nt_u = max(global_solver._mode_grid_size(ctx_of(m.xi, m.alpha2), g.nt)
-               for m in modes)
-    workers = min(os.cpu_count() or 2, 8)
-    chunks = [modes[i::workers] for i in range(workers) if modes[i::workers]]
-
-    def run(chunk):
-        sub = SpectralField(g.r, g.s, g.bound, g.nt,
-                            {m: g.table[m] for m in chunk})
-        return global_solver.solve(op, sub, tol=args.tolerance, ode_n=nt_u)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        reps = list(pool.map(run, chunks))
-    solution = SpectralField(g.r, g.s, g.bound, nt_u)
-    resonant = []
-    sup_ratio = 0.0
-    for rep in reps:
-        solution.table.update(rep.solution.table)
-        resonant.extend(rep.resonant_modes)
-        sup_ratio = max(sup_ratio, rep.sup_ratio)
-    residual = global_solver.residual_sup(op, solution, g)
-    return global_solver.SolveReport(
-        solution=solution, residual_sup=residual, mode_count=len(modes),
-        resonant_modes=resonant, strategy=reps[0].strategy,
-        sup_bound_ok=all(r.sup_bound_ok for r in reps), sup_ratio=sup_ratio)
 
 
 def _cmd_check_dc(args) -> int:
@@ -299,7 +259,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, default=16,
                    help="mode/search bound for sweeps")
     p.add_argument("--tolerance", type=float, default=1e-9)
-    p.add_argument("--parallel", action="store_true")
     p.add_argument("--out", help="write the report to a file instead of stdout")
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -446,21 +446,31 @@ def _match_grid(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def resample(vals: np.ndarray, n: int) -> np.ndarray:
-    """Trigonometric resampling of periodic samples to n points."""
-    m = len(vals)
+    """Band-limited resampling of periodic samples to n points.
+
+    Works over the last axis, for either parity of the input length m and
+    of n.  Frequencies |k| < min(m, n) / 2 are copied.  When the smaller
+    grid is even, its Nyquist bin is split between +-m/2 going up and
+    folded from +-n/2 going down, so data of bandwidth below
+    min(m, n) / 2 is reproduced exactly.
+    """
+    X = np.asarray(vals, dtype=complex)
+    m = X.shape[-1]
     if m == n:
-        return np.asarray(vals, dtype=complex)
-    hat = np.fft.fft(np.asarray(vals, dtype=complex))
-    out = np.zeros(n, dtype=complex)
-    half = m // 2
-    for k in range(-(m - 1) // 2, half + (m % 2)):
-        out[k % n] += hat[k % m]
-    if m % 2 == 0:
-        # split the Nyquist bin symmetrically
-        out[half % n] += hat[half] / 2.0
-        out[-half % n] += hat[half] / 2.0
-        out[half % n] -= 0.0
-    return np.fft.ifft(out) * n / m
+        return X
+    hat = np.fft.fft(X, axis=-1)
+    out = np.zeros(X.shape[:-1] + (n,), dtype=complex)
+    k = (min(m, n) - 1) // 2
+    out[..., :k + 1] = hat[..., :k + 1]
+    out[..., n - k:] = hat[..., m - k:]
+    if min(m, n) % 2 == 0:
+        half = k + 1
+        if m < n:
+            out[..., half] = hat[..., half] / 2.0
+            out[..., n - half] += hat[..., half] / 2.0
+        else:
+            out[..., half] = hat[..., half] + hat[..., m - half]
+    return np.fft.ifft(out, axis=-1) * (n / m)
 
 
 # ---------------------------------------------------------------------------

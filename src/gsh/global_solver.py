@@ -12,8 +12,8 @@ bounded in the oscillatory regime).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -29,38 +29,65 @@ RESONANT_ARGMAX = "ARGMAX_BASEPOINT"
 
 
 # ---------------------------------------------------------------------------
-# Mode data
+# The (xi, alpha) group walk
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class _ModeContext:
+    """What one (xi, alpha2) group shares: theta = theta0 + theta_osc."""
+
+    xi: tuple[int, ...]
+    alpha2: tuple[int, ...]
     theta_osc: TrigPoly
     theta0: complex
-    theta0_exact: Optional[tuple[Fraction, Fraction]]
-    resonant: bool
-    resonant_m: Optional[int]
-    argmax_t: Optional[float] = None
-    osc_amp: Optional[float] = None
+    resonant_m: Optional[int]   # m when theta0 = i m, else None
+
+    @property
+    def resonant(self) -> bool:
+        return self.resonant_m is not None
+
+    @cached_property
+    def primitive(self) -> TrigPoly:
+        return self.theta_osc.primitive()
+
+    def theta(self, n: int) -> np.ndarray:
+        ts = TWO_PI * np.arange(n) / n
+        return self.theta0 + np.asarray(self.theta_osc(ts), dtype=complex)
+
+    def prim(self, n: int) -> np.ndarray:
+        ts = TWO_PI * np.arange(n) / n
+        return np.asarray(self.primitive(ts), dtype=complex)
+
+    def osc_amp(self) -> float:
+        return self.primitive.sup_norm_bound()
 
 
-def _mode_context_cache(op):
-    cache: dict[tuple, _ModeContext] = {}
+def _walk(op, *fields: SpectralField):
+    """Yield (context, modes) for each (xi, alpha2) group of the fields'
+    modes, in first-seen order; the modes of one group share theta."""
+    groups: dict[tuple, dict[ModeIndex, None]] = {}
+    for F in fields:
+        for mode in F.table:
+            groups.setdefault((mode.xi, mode.alpha2), {})[mode] = None
+    for (xi, alpha2), modes in groups.items():
+        theta0, exact, resonant = op.theta_mean(xi, alpha2)
+        yield (_ModeContext(xi, alpha2, op.theta_osc(xi, alpha2), theta0,
+                            int(exact[1]) if resonant else None),
+               list(modes))
 
-    def get(xi, alpha2) -> _ModeContext:
-        key = (tuple(xi), tuple(alpha2))
-        ctx = cache.get(key)
-        if ctx is None:
-            osc = op.theta_osc(xi, alpha2)
-            theta0, exact, resonant = op.theta_mean(xi, alpha2)
-            m = int(exact[1]) if (resonant and exact is not None) else None
-            ctx = _ModeContext(theta_osc=osc, theta0=theta0,
-                               theta0_exact=exact, resonant=resonant,
-                               resonant_m=m)
-            cache[key] = ctx
-        return ctx
 
-    return get
+def _rows(F: SpectralField, modes: list[ModeIndex]) -> np.ndarray:
+    """The modes' values as a stack of rows; zero rows for absent modes."""
+    return np.stack([np.asarray(F.get(m), dtype=complex) for m in modes])
+
+
+def _apply_rows(theta: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """L on a stack of rows sampled on theta's uniform grid, spectrally in t."""
+    n = V.shape[1]
+    freqs = np.fft.fftfreq(n, d=1.0 / n).astype(int)
+    dV = np.fft.ifft(np.fft.fft(V, axis=1) * (1j * freqs)[None, :], axis=1)
+    return dV + theta[None, :] * V
 
 
 def _oscillation_argmax(op, xi, alpha2) -> float:
@@ -90,20 +117,9 @@ def apply_operator(op, u: SpectralField, nt: Optional[int] = None) -> SpectralFi
     """
     nt_out = nt or u.nt
     out = SpectralField(u.r, u.s, u.bound, nt_out)
-    ts = TWO_PI * np.arange(nt_out) / nt_out
-    freqs = np.fft.fftfreq(nt_out, d=1.0 / nt_out).astype(int)
-    ctx_of = _mode_context_cache(op)
-    groups: dict[tuple, list[ModeIndex]] = {}
-    for mode in u.table:
-        groups.setdefault((mode.xi, mode.alpha2), []).append(mode)
-    for key, modes in groups.items():
-        ctx = ctx_of(*key)
-        theta_vals = ctx.theta0 + np.asarray(ctx.theta_osc(ts), dtype=complex)
-        V = np.stack([np.asarray(u.table[m], dtype=complex) for m in modes])
-        if V.shape[1] != nt_out:
-            V = _resample_rows(V, nt_out)
-        dV = np.fft.ifft(np.fft.fft(V, axis=1) * (1j * freqs)[None, :], axis=1)
-        LV = dV + theta_vals[None, :] * V
+    for ctx, modes in _walk(op, u):
+        LV = _apply_rows(ctx.theta(nt_out),
+                         fourier.resample(_rows(u, modes), nt_out))
         for i, m in enumerate(modes):
             out.set(m, LV[i])
     return out
@@ -121,28 +137,23 @@ class AnnihilatorReport:
     resonant_modes: list[ModeIndex]
 
 
-def _data_bandwidth(vals: np.ndarray) -> int:
-    """Largest frequency carrying more than machine-level energy."""
-    v = np.asarray(vals, dtype=complex)
-    hat = np.abs(np.fft.fft(v))
-    top = float(hat.max())
-    if top == 0.0:
-        return 0
-    n = len(v)
+def _data_bandwidth(G: np.ndarray) -> int:
+    """Largest frequency carrying more than machine-level energy in any row."""
+    hat = np.abs(np.fft.fft(G, axis=1))
+    n = G.shape[1]
     freqs = np.abs(np.fft.fftfreq(n, d=1.0 / n).astype(int))
-    return int(freqs[hat > 1e-14 * top].max())
+    live = (hat > 1e-14 * hat.max(axis=1, keepdims=True)).any(axis=0)
+    return int(freqs[live].max()) if live.any() else 0
 
 
-def _mode_grid_size(ctx: _ModeContext, kmax: int) -> int:
+def _mode_grid_size(ctx: _ModeContext, G: np.ndarray) -> int:
     """Grid fine enough for g * exp(oscillation primitive) to machine accuracy.
 
     The primitive has sup bound A, so the exponential's Fourier tail decays
     like a Bessel function I_k(A); 8A + 32 modes past the data bandwidth
     is far below machine epsilon.
     """
-    if ctx.osc_amp is None:
-        ctx.osc_amp = ctx.theta_osc.primitive().sup_norm_bound()
-    need = max(64, int(8.0 * ctx.osc_amp) + 32 + 2 * kmax)
+    need = max(64, int(8.0 * ctx.osc_amp()) + 32 + 2 * _data_bandwidth(G))
     n = 64
     while n < need:
         n *= 2
@@ -150,23 +161,22 @@ def _mode_grid_size(ctx: _ModeContext, kmax: int) -> int:
 
 
 def annihilator_test(op, g: SpectralField, tol: float = 1e-9) -> AnnihilatorReport:
-    """Check the compatibility integrals on every resonant mode of g."""
-    ctx_of = _mode_context_cache(op)
+    """Check the compatibility integrals on every resonant mode of g, with
+    the kernel and gate that ``solve`` uses."""
     violations = []
     resonant = []
-    for mode, vals in g.table.items():
-        ctx = ctx_of(mode.xi, mode.alpha2)
+    for ctx, modes in _walk(op, g):
         if not ctx.resonant:
             continue
-        resonant.append(mode)
-        n = _mode_grid_size(ctx, _data_bandwidth(vals))
-        ode = ode_solver.ModeODE(theta_osc=ctx.theta_osc, theta0=ctx.theta0,
-                                 g=fourier.resample(np.asarray(vals, dtype=complex), n),
-                                 n=n, resonant=True, resonant_m=ctx.resonant_m)
-        comp = ode_solver.compatibility(ode)
-        scale = float(np.abs(vals).max()) + 1.0
-        if abs(comp) > tol * scale:
-            violations.append((mode, comp))
+        resonant.extend(modes)
+        G = _rows(g, modes)
+        n = _mode_grid_size(ctx, G)
+        G = fourier.resample(G, n)
+        _, comp = ode_solver.integral_formula(ctx.theta0, ctx.resonant_m,
+                                              ctx.prim(n), G)
+        bad = ode_solver.incompatible(comp, G, tol)
+        violations.extend((modes[i], complex(comp[i]))
+                          for i in np.flatnonzero(bad))
     return AnnihilatorReport(ok=not violations, violations=violations,
                              resonant_modes=resonant)
 
@@ -174,6 +184,9 @@ def annihilator_test(op, g: SpectralField, tol: float = 1e-9) -> AnnihilatorRepo
 # ---------------------------------------------------------------------------
 # Solving
 # ---------------------------------------------------------------------------
+
+# Guarded defect-correction passes per group in ``solve``.
+REFINE_STEPS = 2
 
 
 @dataclass
@@ -185,83 +198,32 @@ class SolveReport:
     strategy: str
     sup_bound_ok: bool
     sup_ratio: float
-    skipped: list[tuple[ModeIndex, complex]] = field(default_factory=list)
 
 
-def _resample_rows(X: np.ndarray, n_out: int) -> np.ndarray:
-    """Trigonometric resampling of a stack of periodic rows (even sizes)."""
-    m = X.shape[1]
-    if m == n_out:
-        return X
-    hat = np.fft.fft(X, axis=1)
-    out = np.zeros((X.shape[0], n_out), dtype=complex)
-    half = min(m, n_out) // 2
-    out[:, :half] = hat[:, :half]
-    out[:, n_out - (half - 1):] = hat[:, m - (half - 1):]
-    if m < n_out:
-        # split the Nyquist bin symmetrically
-        out[:, half] = hat[:, half] / 2.0
-        out[:, n_out - half] += hat[:, half] / 2.0
-    else:
-        # fold the two edge bins
-        out[:, half] = hat[:, half] + hat[:, m - half]
-    return np.fft.ifft(out, axis=1) * (n_out / m)
-
-
-def _pin_rows(ctx: _ModeContext, U: np.ndarray, t_star: float,
-              ts: np.ndarray, prim: np.ndarray,
-              freqs: np.ndarray) -> np.ndarray:
-    """Remove the homogeneous component so every row vanishes at t_star,
-    the argmax of the oscillation primitive; this is the uniformly bounded
-    normalization of the resonant solution family."""
-    n = U.shape[1]
-    m = ctx.resonant_m
-    uhat = np.fft.fft(U, axis=1) / n
-    u_star = uhat @ np.exp(1j * freqs * t_star)
-    h = np.exp(-1j * m * ts - prim)
-    h_star = np.exp(-1j * m * t_star
-                    - complex(ctx.theta_osc.primitive()(t_star)))
-    return U - np.outer(u_star / h_star, h)
-
-
-def _solve_rows(ctx: _ModeContext, G: np.ndarray, ts: np.ndarray,
-                prim: np.ndarray, freqs: np.ndarray,
+def _solve_rows(ctx: _ModeContext, G: np.ndarray, prim: np.ndarray,
                 t_star: Optional[float]):
-    """The integral-formula solver applied to a stack of data rows that
-    share one theta.  Returns (solutions, compatibility values or None).
+    """The integral-formula kernel on a stack of data rows that share one
+    theta.  Returns (solutions, compatibility values or None).
 
-    Resonant rows come back in the argmax-pinned normalization: the lam = 0
-    member can be exponentially large, which would sink every later step
-    into its roundoff.
+    Resonant rows come back in the argmax-pinned normalization, vanishing
+    at t_star, the argmax of the oscillation primitive: the lam = 0 member
+    can be exponentially large, which would sink every later step into
+    its roundoff.
     """
-    n = G.shape[1]
-    hat = np.fft.fft(G * np.exp(prim)[None, :], axis=1) / n
-    if ctx.resonant:
-        m = ctx.resonant_m
-        km = freqs + m
-        idx = np.where(km == 0)[0]
-        comp = TWO_PI * (hat[:, idx[0]] if len(idx)
-                         else np.zeros(G.shape[0], dtype=complex))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vk = np.where(km[None, :] != 0, hat / (1j * km)[None, :], 0.0)
-        V = np.exp(1j * m * ts)[None, :] * np.fft.ifft(vk * n, axis=1) \
-            - vk.sum(axis=1, keepdims=True)
-        U = np.exp(-1j * m * ts - prim)[None, :] * V
-        return _pin_rows(ctx, U, t_star, ts, prim, freqs), comp
-    th0 = complex(ctx.theta0)
-    w = th0 + 1j * freqs
-    if th0.real >= 0.0:
-        ratio = -ode_solver._expm1c(-TWO_PI * w) \
-            / (w * (-ode_solver._expm1c(np.array(-TWO_PI * th0))))
-    else:
-        ratio = ode_solver._expm1c(TWO_PI * w) \
-            / (w * ode_solver._expm1c(np.array(TWO_PI * th0)))
-    U = np.exp(-prim)[None, :] * np.fft.ifft(hat * ratio[None, :] * n, axis=1)
-    return U, None
+    U, comp = ode_solver.integral_formula(ctx.theta0, ctx.resonant_m, prim, G)
+    if not ctx.resonant:
+        return U, None
+    n = U.shape[1]
+    freqs = np.fft.fftfreq(n, d=1.0 / n).astype(int)
+    u_star = (np.fft.fft(U, axis=1) / n) @ np.exp(1j * freqs * t_star)
+    h_star = np.exp(-1j * ctx.resonant_m * t_star
+                    - complex(ctx.primitive(t_star)))
+    h = ode_solver.resonant_homogeneous(ctx.resonant_m, prim)
+    return U - np.outer(u_star / h_star, h), comp
 
 
 def _refine_rows(ctx: _ModeContext, U: np.ndarray, G: np.ndarray,
-                 refine_steps: int, t_star: Optional[float]) -> np.ndarray:
+                 t_star: Optional[float]) -> np.ndarray:
     """Guarded defect-correction on a 4x grid.
 
     The defect carries structure across the exp(primitive) envelope's whole
@@ -271,29 +233,20 @@ def _refine_rows(ctx: _ModeContext, U: np.ndarray, G: np.ndarray,
     """
     n = U.shape[1]
     nf = 4 * n
-    ts = TWO_PI * np.arange(nf) / nf
-    prim = np.asarray(ctx.theta_osc.primitive()(ts), dtype=complex)
-    theta = ctx.theta0 + np.asarray(ctx.theta_osc(ts), dtype=complex)
+    prim = ctx.prim(nf)
+    theta = ctx.theta(nf)
     freqs = np.fft.fftfreq(nf, d=1.0 / nf).astype(int)
-    if ctx.osc_amp is None:
-        ctx.osc_amp = ctx.theta_osc.primitive().sup_norm_bound()
-    kcut = nf // 2 - (int(8.0 * ctx.osc_amp) + 40)
-    VF = _resample_rows(U, nf)
-    GF = _resample_rows(G, nf)
-
-    def defect(X):
-        dX = np.fft.ifft(np.fft.fft(X, axis=1) * (1j * freqs)[None, :], axis=1)
-        return GF - (dX + theta[None, :] * X)
-
-    D = defect(VF)
+    kcut = nf // 2 - (int(8.0 * ctx.osc_amp()) + 40)
+    VF = fourier.resample(U, nf)
+    GF = fourier.resample(G, nf)
+    D = GF - _apply_rows(theta, VF)
     best = np.abs(D).max(axis=1)
-    for _ in range(refine_steps):
+    for _ in range(REFINE_STEPS):
         Dh = np.fft.fft(D, axis=1)
         Dh[:, np.abs(freqs) > kcut] = 0.0
-        CV, _ = _solve_rows(ctx, np.fft.ifft(Dh, axis=1), ts, prim, freqs,
-                            t_star)
+        CV, _ = _solve_rows(ctx, np.fft.ifft(Dh, axis=1), prim, t_star)
         CAND = VF + CV
-        CD = defect(CAND)
+        CD = GF - _apply_rows(theta, CAND)
         cand_sup = np.abs(CD).max(axis=1)
         acc = cand_sup < 0.95 * best
         if not acc.any():
@@ -301,12 +254,11 @@ def _refine_rows(ctx: _ModeContext, U: np.ndarray, G: np.ndarray,
         VF[acc] = CAND[acc]
         D[acc] = CD[acc]
         best[acc] = cand_sup[acc]
-    return _resample_rows(VF, n)
+    return fourier.resample(VF, n)
 
 
 def solve(op, g: SpectralField, resonant_strategy: str = RESONANT_ARGMAX,
-          tol: float = 1e-9, ode_n: Optional[int] = None,
-          check_compat: bool = True, refine_steps: int = 2) -> SolveReport:
+          tol: float = 1e-9, check_compat: bool = True) -> SolveReport:
     """Solve L u = g mode by mode.
 
     Raises ModeUnsolvable on a resonant mode with nonvanishing
@@ -314,50 +266,33 @@ def solve(op, g: SpectralField, resonant_strategy: str = RESONANT_ARGMAX,
     carries the sup-norm certificate max|u_mode| <= 2 pi max|g_mode|
     for the argmax-normalized resonant strategy.
 
-    Modes sharing one theta are solved as a vectorized batch, with
-    ``refine_steps`` guarded defect-correction passes that absorb the
+    Modes sharing one theta are solved as a vectorized batch, followed by
+    ``REFINE_STEPS`` guarded defect-correction passes that absorb the
     roundoff amplified by the integrating factor's dynamic range.
     """
-    ctx_of = _mode_context_cache(op)
-    groups: dict[tuple, list[ModeIndex]] = {}
-    for mode in g.table:
-        groups.setdefault((mode.xi, mode.alpha2), []).append(mode)
-    plans = []
-    nt_u = 64
-    for key, modes in groups.items():
-        ctx = ctx_of(*key)
-        kmax = max(_data_bandwidth(g.table[m]) for m in modes)
-        n = ode_n or _mode_grid_size(ctx, kmax)
-        nt_u = max(nt_u, n)
-        plans.append((key, ctx, n, modes))
+    plans = [(ctx, modes, _mode_grid_size(ctx, _rows(g, modes)))
+             for ctx, modes in _walk(op, g)]
+    nt_u = max([64] + [n for _, _, n in plans])
     u = SpectralField(g.r, g.s, g.bound, nt_u)
     resonant = []
     sup_ratio = 0.0
     sup_ok = True
-    for key, ctx, n, modes in plans:
-        ts = TWO_PI * np.arange(n) / n
-        prim = np.asarray(ctx.theta_osc.primitive()(ts), dtype=complex)
-        freqs = np.fft.fftfreq(n, d=1.0 / n).astype(int)
-        G = _resample_rows(
-            np.stack([np.asarray(g.table[m], dtype=complex) for m in modes]),
-            n)
+    for ctx, modes, n in plans:
+        prim = ctx.prim(n)
+        G = fourier.resample(_rows(g, modes), n)
         t_star = None
         if ctx.resonant:
             resonant.extend(modes)
-            if ctx.argmax_t is None:
-                ctx.argmax_t = _oscillation_argmax(op, key[0], key[1])
-            t_star = ctx.argmax_t
-        U, comp = _solve_rows(ctx, G, ts, prim, freqs, t_star)
+            t_star = _oscillation_argmax(op, ctx.xi, ctx.alpha2)
+        U, comp = _solve_rows(ctx, G, prim, t_star)
         if ctx.resonant and check_compat:
-            scale = np.abs(G).max(axis=1) + 1.0
-            bad = np.abs(comp) > tol * scale
+            bad = ode_solver.incompatible(comp, G, tol)
             if bad.any():
                 raise ode_solver.ModeUnsolvable(complex(comp[np.argmax(bad)]))
-        if refine_steps:
-            U = _refine_rows(ctx, U, G, refine_steps, t_star)
+        U = _refine_rows(ctx, U, G, t_star)
         if ctx.resonant and resonant_strategy != RESONANT_ARGMAX:
             # shift back to the lam = 0 normalization, which vanishes at 0
-            h = np.exp(-1j * ctx.resonant_m * ts - prim)
+            h = ode_solver.resonant_homogeneous(ctx.resonant_m, prim)
             U = U - U[:, :1] * h[None, :]
         gmax = np.abs(G).max(axis=1)
         umax = np.abs(U).max(axis=1)
@@ -368,7 +303,7 @@ def solve(op, g: SpectralField, resonant_strategy: str = RESONANT_ARGMAX,
             if ctx.resonant and resonant_strategy == RESONANT_ARGMAX \
                     and ratio > 1.0 + 1e-9:
                 sup_ok = False
-        UU = _resample_rows(U, nt_u)
+        UU = fourier.resample(U, nt_u)
         for i, mode in enumerate(modes):
             u.set(mode, UU[i])
     residual = residual_sup(op, u, g)
@@ -380,16 +315,15 @@ def solve(op, g: SpectralField, resonant_strategy: str = RESONANT_ARGMAX,
 
 def residual_sup(op, u: SpectralField, g: SpectralField,
                  refine: int = 4) -> float:
-    """sup-norm of L u - g over all modes, on a ``refine``-times finer grid."""
+    """sup-norm of L u - g over all modes, on a ``refine``-times finer grid,
+    taken one (xi, alpha2) group at a time."""
     nt = refine * u.nt
-    lu = apply_operator(op, u, nt=nt)
-    modes = list(set(lu.table) | set(g.table))
-    if not modes:
-        return 0.0
-    GV = _resample_rows(
-        np.stack([np.asarray(g.get(m), dtype=complex) for m in modes]), nt)
-    LU = np.stack([np.asarray(lu.get(m), dtype=complex) for m in modes])
-    return float(np.abs(LU - GV).max())
+    worst = 0.0
+    for ctx, modes in _walk(op, u, g):
+        LU = _apply_rows(ctx.theta(nt), fourier.resample(_rows(u, modes), nt))
+        GV = fourier.resample(_rows(g, modes), nt)
+        worst = max(worst, float(np.abs(LU - GV).max()))
+    return worst
 
 
 def decay_certify(field_: SpectralField) -> fourier.DecayReport:

@@ -52,7 +52,6 @@ class ModeODE:
     theta0_exact: Optional[tuple[Fraction, Fraction]] = None
     resonant: Optional[bool] = None
     resonant_m: Optional[int] = None
-    osc_primitive_samples: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.theta_osc.coefficient(0) != (Fraction(0), Fraction(0)):
@@ -86,17 +85,14 @@ class ModeODE:
         return g
 
     def _osc_primitive(self) -> np.ndarray:
-        if self.osc_primitive_samples is not None:
-            return self.osc_primitive_samples
         return np.asarray(self.theta_osc.primitive()(self._grid()), dtype=complex)
 
-    def _p_hat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """FFT coefficients of g * exp(primitive of oscillation)."""
-        osc = self._osc_primitive()
-        p = self._g_samples() * np.exp(osc)
-        hat = np.fft.fft(p) / self.n
-        freqs = np.fft.fftfreq(self.n, d=1.0 / self.n).astype(int)
-        return hat, freqs, osc
+    def _kernel(self, branch: str = AUTO):
+        """``integral_formula`` on this mode's one row."""
+        return integral_formula(self.theta0,
+                                self.resonant_m if self.resonant else None,
+                                self._osc_primitive(),
+                                self._g_samples()[None, :], branch)
 
 
 def _expm1c(z: np.ndarray) -> np.ndarray:
@@ -110,6 +106,68 @@ def _expm1c(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _resolve(branch: str, theta0: complex) -> str:
+    """AUTO picks the branch whose kernel stays bounded."""
+    if branch == AUTO:
+        return MINUS if complex(theta0).real >= 0.0 else PLUS
+    return branch
+
+
+def resonant_homogeneous(m: int, prim: np.ndarray) -> np.ndarray:
+    """exp(-i m t - prim) on prim's uniform grid: the periodic kernel
+    element of a resonant mode with theta0 = i m."""
+    n = len(prim)
+    return np.exp(-1j * m * (TWO_PI * np.arange(n) / n) - prim)
+
+
+def integral_formula(theta0: complex, resonant_m: Optional[int],
+                     prim: np.ndarray, G: np.ndarray, branch: str = AUTO):
+    """Solve u' + theta u = g for a stack of rows that share one theta.
+
+    ``prim`` samples the primitive of theta's oscillation on the uniform
+    n-grid and ``G`` (shape (k, n)) holds k right-hand sides on it;
+    ``resonant_m`` is m when theta0 = i m and None otherwise.  Returns
+    ``(U, comp)``.  Non-resonant rows: U is the unique periodic solution,
+    whose branch divides the exact per-frequency s-integral by
+    1 - e^{-2 pi theta0} (MINUS) or e^{2 pi theta0} - 1 (PLUS), and comp
+    is None.  Resonant rows: U is the lam = 0 member of the family
+    u = e^{-imt - prim} (lam + V) and comp holds the compatibility
+    integrals of g * exp(integral of theta).
+    """
+    n = G.shape[1]
+    ts = TWO_PI * np.arange(n) / n
+    freqs = np.fft.fftfreq(n, d=1.0 / n).astype(int)
+    hat = np.fft.fft(G * np.exp(prim)[None, :], axis=1) / n
+    if resonant_m is not None:
+        m = resonant_m
+        km = freqs + m
+        idx = np.where(km == 0)[0]
+        comp = TWO_PI * (hat[:, idx[0]] if len(idx)
+                         else np.zeros(G.shape[0], dtype=complex))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vk = np.where(km[None, :] != 0, hat / (1j * km)[None, :], 0.0)
+        # V(t) = sum_{k != -m} p_k (e^{i(k+m)t} - 1)/(i(k+m))
+        #      = e^{imt} * idft(vk) - sum_k vk
+        V = np.exp(1j * m * ts)[None, :] * np.fft.ifft(vk * n, axis=1) \
+            - vk.sum(axis=1, keepdims=True)
+        return resonant_homogeneous(m, prim)[None, :] * V, comp
+    th0 = complex(theta0)
+    w = th0 + 1j * freqs
+    branch = _resolve(branch, th0)
+    if branch == MINUS:
+        ratio = -_expm1c(-TWO_PI * w) / (w * (-_expm1c(np.array(-TWO_PI * th0))))
+    elif branch == PLUS:
+        ratio = _expm1c(TWO_PI * w) / (w * _expm1c(np.array(TWO_PI * th0)))
+    else:
+        raise ValueError(f"unknown branch {branch}")
+    return np.exp(-prim)[None, :] * np.fft.ifft(hat * ratio[None, :] * n, axis=1), None
+
+
+def incompatible(comp: np.ndarray, G: np.ndarray, tol: float) -> np.ndarray:
+    """Rows whose compatibility integral exceeds tol * (max|g| + 1)."""
+    return np.abs(comp) > tol * (np.abs(G).max(axis=1) + 1.0)
+
+
 @dataclass
 class ModeSolution:
     values: np.ndarray
@@ -121,19 +179,14 @@ def compatibility(ode: ModeODE) -> complex:
     """The integral over the period of g * exp(integral of theta)."""
     if not ode.resonant:
         raise ValueError("compatibility is defined for resonant modes")
-    hat, freqs, _ = ode._p_hat()
-    m = ode.resonant_m
-    idx = np.where(freqs == -m)[0]
-    value = complex(hat[idx[0]]) if len(idx) else 0.0 + 0.0j
-    return TWO_PI * value
+    return complex(ode._kernel()[1][0])
 
 
 def homogeneous(ode: ModeODE) -> np.ndarray:
     """exp(-integral_0^t theta); periodic exactly in the resonant case."""
     if not ode.resonant:
         raise NotPeriodicError("homogeneous solution is not periodic: mean not in iZ")
-    ts = ode._grid()
-    return np.exp(-1j * ode.resonant_m * ts - ode._osc_primitive())
+    return resonant_homogeneous(ode.resonant_m, ode._osc_primitive())
 
 
 def resonant_profile_value(ode: ModeODE, t: float) -> complex:
@@ -144,57 +197,28 @@ def resonant_profile_value(ode: ModeODE, t: float) -> complex:
     """
     if not ode.resonant:
         raise ValueError("profile value is defined for resonant modes")
-    hat, freqs, _ = ode._p_hat()
-    m = ode.resonant_m
-    km = freqs + m
-    mask = km != 0
-    kmm = km[mask]
-    terms = hat[mask] * (np.exp(1j * kmm * t) - 1.0) / (1j * kmm)
+    hat = np.fft.fft(ode._g_samples() * np.exp(ode._osc_primitive())) / ode.n
+    km = np.fft.fftfreq(ode.n, d=1.0 / ode.n).astype(int) + ode.resonant_m
+    kmm = km[km != 0]
+    terms = hat[km != 0] * (np.exp(1j * kmm * t) - 1.0) / (1j * kmm)
     return complex(terms.sum())
 
 
 def solve_mode(ode: ModeODE, branch: str = AUTO, lam: complex = 0.0,
                tol: float = 1e-9, check_compat: bool = True) -> ModeSolution:
-    """Solve u' + theta u = g on the uniform n-grid.
+    """Solve u' + theta u = g on the uniform n-grid with ``integral_formula``.
 
-    Non-resonant modes: the two integral-formula branches divide the exact
-    per-frequency s-integral by 1 - e^{-2 pi theta0} (MINUS) or
-    e^{2 pi theta0} - 1 (PLUS); AUTO picks the branch whose kernel stays
-    bounded (MINUS when Re theta0 >= 0).  Resonant modes return the
-    lambda-parametrized family after the compatibility gate.
+    Non-resonant modes use ``branch``; AUTO picks the branch whose kernel
+    stays bounded (MINUS when Re theta0 >= 0).  Resonant modes return the
+    family member ``lam`` after the compatibility gate.
     """
-    hat, freqs, osc = ode._p_hat()
-    ts = ode._grid()
-    if ode.resonant:
-        m = ode.resonant_m
-        comp = TWO_PI * complex(hat[np.where(freqs == -m)[0][0]]) \
-            if np.any(freqs == -m) else 0.0 + 0.0j
-        if check_compat:
-            gnorm = float(np.abs(ode._g_samples()).max())
-            if abs(comp) > tol * (gnorm + 1.0):
-                raise ModeUnsolvable(comp)
-        km = freqs + m
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vk = np.where(km != 0, hat / (1j * km), 0.0)
-        # V(t) = sum_{k != -m} p_k (e^{i(k+m)t} - 1)/(i(k+m))
-        #      = e^{imt} * idft(vk) - sum_k vk
-        V = np.exp(1j * m * ts) * np.fft.ifft(vk * ode.n) - vk.sum()
-        u = np.exp(-1j * m * ts - osc) * (lam + V)
-        return ModeSolution(u, "RESONANT", compatibility=comp)
-
-    th0 = complex(ode.theta0)
-    if branch == AUTO:
-        branch = MINUS if th0.real >= 0.0 else PLUS
-    w = th0 + 1j * freqs
-    if branch == MINUS:
-        ratio = -_expm1c(-TWO_PI * w) / (w * (-_expm1c(np.array(-TWO_PI * th0))))
-    elif branch == PLUS:
-        ratio = _expm1c(TWO_PI * w) / (w * _expm1c(np.array(TWO_PI * th0)))
-    else:
-        raise ValueError(f"unknown branch {branch}")
-    vhat = hat * ratio
-    u = np.exp(-osc) * np.fft.ifft(vhat * ode.n)
-    return ModeSolution(u, branch)
+    U, comp = ode._kernel(branch)
+    if not ode.resonant:
+        return ModeSolution(U[0], _resolve(branch, ode.theta0))
+    if check_compat and incompatible(comp, ode._g_samples()[None, :], tol)[0]:
+        raise ModeUnsolvable(complex(comp[0]))
+    u = U[0] + lam * homogeneous(ode) if lam else U[0]
+    return ModeSolution(u, "RESONANT", compatibility=complex(comp[0]))
 
 
 def residual(ode: ModeODE, u: np.ndarray) -> float:

@@ -1,9 +1,13 @@
 """Shared fixtures: the reference operators exercised across the suite."""
 
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from gsh.fourier import ModeIndex, SpectralField
+from gsh.global_solver import apply_operator
 from gsh.numerics import TaggedReal, standard_liouville
 from gsh.operator_model import EvolutionOperator
 from gsh.trigpoly import TrigPoly
@@ -153,3 +157,43 @@ GOLDEN = {
 @pytest.fixture
 def golden_operators():
     return {name: make() for name, make in GOLDEN.items()}
+
+
+def trig_interpolant(vals, t, derivative=False):
+    """The trigonometric interpolant of periodic samples (or its derivative)
+    at arbitrary times, summed directly; an even grid's Nyquist term is
+    split into a cosine."""
+    vals = np.asarray(vals, dtype=complex)
+    n = len(vals)
+    coef = np.fft.fft(vals) / n
+    ks = np.fft.fftfreq(n, d=1.0 / n)
+    if n % 2 == 0:
+        coef[n // 2] /= 2.0
+        coef = np.append(coef, coef[n // 2])
+        ks = np.append(ks, n // 2)
+    if derivative:
+        coef = coef * 1j * ks
+    return np.exp(1j * np.outer(np.asarray(t, dtype=float), ks)) @ coef
+
+
+def mode_residual(op, mode, u_vals, g_vals, t):
+    """max |u' + theta u - g| at the times t, on the interpolants."""
+    theta = (op.theta_mean(mode.xi, mode.alpha2)[0]
+             + op.theta_osc(mode.xi, mode.alpha2)(t))
+    lu = trig_interpolant(u_vals, t, True) + theta * trig_interpolant(u_vals, t)
+    return float(np.abs(lu - trig_interpolant(g_vals, t)).max())
+
+
+def odd_length_case():
+    """(op, mode, u*, g = L u*) for u* = e^{-7it} + 0.5 on one mode of
+    op_rational_constant, sampled on the odd grid nt = 15, whose most
+    negative frequency it reaches."""
+    op = op_rational_constant()
+    mode = ModeIndex(xi=(1,), l2=(0,), alpha2=(0,), beta2=(0,))
+    u_star = SpectralField(1, 1, 1, 15)
+    u_star.set(mode, odd_length_u(2.0 * math.pi * np.arange(15) / 15))
+    return op, mode, u_star, apply_operator(op, u_star)
+
+
+def odd_length_u(t):
+    return np.exp(-7j * t) + 0.5

@@ -8,9 +8,11 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import (op_disconnected_sublevel, op_exact_floor, op_liouville,
+from conftest import (mode_residual, odd_length_case, odd_length_u,
+                      op_disconnected_sublevel, op_exact_floor, op_liouville,
                       op_neutral_rotation, op_oscillatory_solvable,
-                      op_rational_constant, op_sign_change_witness)
+                      op_rational_constant, op_sign_change_witness,
+                      trig_interpolant)
 from gsh import cli, global_solver
 from gsh.fourier import ModeIndex, SpectralField, random_field
 from gsh.operator_model import operator_to_json
@@ -69,18 +71,21 @@ def test_solve_round_trip(tmp_path, capsys):
     assert back.table
 
 
-def test_solve_parallel_matches_serial(tmp_path, capsys):
-    op = op_oscillatory_solvable()
-    u = random_field(np.random.default_rng(1), 1, 1, 2, nt=16, t_bandwidth=1)
-    g = global_solver.apply_operator(op, u, nt=128)
-    g = SpectralField(1, 1, 2, 128, g.table)
-    op_path = _write_op(tmp_path, op)
+def test_solve_odd_length_field(tmp_path, capsys):
+    # an odd nt used to be solved wrong while the report said SOLVED with
+    # a residual of 7e-15
+    op, mode, _, g = odd_length_case()
     g_path = tmp_path / "g.json"
     g_path.write_text(json.dumps(g.to_json()))
-    code = cli.main(["--parallel", "solve", op_path, str(g_path)])
+    sol_path = tmp_path / "u.json"
+    code = cli.main(["solve", _write_op(tmp_path, op), str(g_path),
+                     "--solution-out", str(sol_path)])
     assert code == cli.EXIT_OK
-    rep = json.loads(capsys.readouterr().out)
-    assert rep["residual_sup"] < 1e-8
+    assert json.loads(capsys.readouterr().out)["residual_sup"] < 1e-10
+    u = SpectralField.from_json(json.loads(sol_path.read_text())).get(mode)
+    t = np.linspace(0.0, TWO_PI, 97)
+    assert np.abs(trig_interpolant(u, t) - odd_length_u(t)).max() < 1e-12
+    assert mode_residual(op, mode, u, g.get(mode), t) < 1e-10
 
 
 def test_solve_membership_failure(tmp_path, capsys):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gsh import fourier
 from gsh.fourier import (GridFunction, GridSpec, ModeIndex, RAPID_DECAY,
@@ -110,6 +112,31 @@ def test_resample_band_limited_exact():
     assert np.abs(up - oracle).max() < 1e-12
     # downsampling back is the identity on band-limited data
     assert np.abs(resample(up, n) - vals).max() < 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(2, 40), n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1))
+@example(m=15, n=16, seed=0)
+@example(m=16, n=15, seed=0)
+@example(m=17, n=33, seed=0)
+@example(m=33, n=17, seed=0)
+@example(m=16, n=32, seed=0)
+@example(m=32, n=16, seed=0)
+def test_resample_any_parity(m, n, seed):
+    rng = np.random.default_rng(seed)
+    ks = np.arange(-((min(m, n) - 1) // 2), (min(m, n) - 1) // 2 + 1)
+    coef = rng.normal(size=(3, len(ks))) + 1j * rng.normal(size=(3, len(ks)))
+
+    def samples(p):
+        return coef @ np.exp(1j * np.outer(ks, TWO_PI * np.arange(p) / p))
+
+    # bandwidth below min(m, n) / 2 is reproduced exactly
+    assert np.abs(resample(samples(m), n) - samples(n)).max() \
+        < 1e-12 * np.abs(coef).sum()
+    # a stack is resampled row by row, whatever the data
+    X = rng.normal(size=(3, m)) + 1j * rng.normal(size=(3, m))
+    assert np.array_equal(resample(X, n), np.stack([resample(x, n) for x in X]))
+    assert np.array_equal(resample(X, m), X)
 
 
 def test_mode_index_geometry():

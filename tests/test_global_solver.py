@@ -1,17 +1,21 @@
 """Mode-decoupled global solving and its certificates."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import op_oscillatory_solvable, op_rational_constant
+from conftest import (mode_residual, odd_length_case, odd_length_u,
+                      op_oscillatory_solvable, op_rational_constant,
+                      trig_interpolant)
 from gsh import fourier, global_solver
 from gsh.fourier import ModeIndex, SpectralField, random_field
 from gsh.global_solver import (RESONANT_ARGMAX, RESONANT_ZERO, annihilator_test,
                                apply_operator, decay_certify, residual_sup,
                                solve)
-from gsh.ode_solver import ModeUnsolvable
+from gsh.ode_solver import ModeODE, ModeUnsolvable, compatibility
+from gsh.trigpoly import TrigPoly
 
 TWO_PI = 2.0 * math.pi
 
@@ -121,3 +125,58 @@ def test_decay_certify_of_solution():
     rep = solve(op, g)
     cert = decay_certify(rep.solution)
     assert cert.kind in (fourier.RAPID_DECAY, fourier.POLYNOMIAL_GROWTH)
+
+
+def test_odd_length_field_is_solved_and_checked_on_its_interpolant():
+    # an odd nt used to lose the -7 bin on the way to the solve grid, and
+    # the residual check lost it the same way: residual_sup read 7e-15
+    # while the solution missed u* by 1.0
+    op, mode, u_star, g = odd_length_case()
+    rep = solve(op, g)
+    t = np.linspace(0.0, TWO_PI, 97)
+    u = rep.solution.get(mode)
+    assert np.abs(trig_interpolant(u, t) - odd_length_u(t)).max() < 1e-12
+    assert mode_residual(op, mode, u, g.get(mode), t) < 1e-10
+    assert rep.residual_sup < 1e-10
+
+
+def test_residual_sup_matches_a_direct_evaluation():
+    op = op_oscillatory_solvable()
+    rng = np.random.default_rng(3)
+    both = ModeIndex(xi=(0,), l2=(0,), alpha2=(0,), beta2=(0,))
+    u_only = ModeIndex(xi=(1,), l2=(1,), alpha2=(1,), beta2=(-1,))
+    u_and_g = ModeIndex(xi=(1,), l2=(1,), alpha2=(1,), beta2=(1,))
+    g_only = ModeIndex(xi=(-1,), l2=(2,), alpha2=(0,), beta2=(2,))
+    u = SpectralField(1, 1, 1, 16)
+    g = SpectralField(1, 1, 1, 15)
+    for F, modes in ((u, (both, u_only, u_and_g)), (g, (both, u_and_g, g_only))):
+        for m in modes:
+            F.set(m, rng.normal(size=F.nt) + 1j * rng.normal(size=F.nt))
+    t = TWO_PI * np.arange(64) / 64
+    ref = max(mode_residual(op, m, u.get(m), g.get(m), t)
+              for m in (both, u_only, u_and_g, g_only))
+    assert residual_sup(op, u, g, refine=4) == pytest.approx(ref, rel=1e-12)
+
+
+def test_annihilator_violations_match_the_per_mode_compatibility():
+    op = op_oscillatory_solvable()  # every mode is resonant
+    rng = np.random.default_rng(5)
+    u = random_field(rng, 1, 1, 2, nt=16, t_bandwidth=2)
+    g = apply_operator(op, u, nt=32)  # compatible on every mode
+    bad = {}
+    for mode in list(g.table)[::9]:
+        # e^{-imt} meets the resonant frequency head-on
+        m = op.theta_mean(mode.xi, mode.alpha2)[1][1]
+        bad[mode] = TrigPoly({k: (Fraction(int(rng.integers(-9, 10)), 8),
+                                  Fraction(int(rng.integers(-9, 10)), 8))
+                              for k in range(-3, 4)}) + TrigPoly({-m: 1})
+        g.set(mode, bad[mode].sample(g.nt))
+    assert len({(m.xi, m.alpha2) for m in bad}) > 1
+    rep = annihilator_test(op, g)
+    assert {m for m, _ in rep.violations} == set(bad)
+    for mode, comp in rep.violations:
+        theta0, exact, _ = op.theta_mean(mode.xi, mode.alpha2)
+        ode = ModeODE(theta_osc=op.theta_osc(mode.xi, mode.alpha2),
+                      theta0=theta0, g=bad[mode], n=2048, theta0_exact=exact)
+        scale = float(np.abs(g.get(mode)).max()) + 1.0
+        assert abs(comp - compatibility(ode)) <= 1e-12 * scale
