@@ -2,11 +2,15 @@
 
 Each partial Fourier mode of g yields a scalar periodic ODE
 u' + theta(t) u = g with theta(t) = i<c(t), xi> + i<d(t), alpha> + q.
-Non-resonant modes have a unique periodic solution; resonant modes need a
-vanishing compatibility integral and admit a one-parameter family, which
-is pinned either at lambda = 0 or by vanishing at the argmax of the
-oscillation primitive (the choice that keeps the solution uniformly
-bounded in the oscillatory regime).
+Theta is a trigonometric polynomial of small bandwidth, so the ODE is a
+banded linear system in the Fourier coefficients of u, and one
+Fourier-Galerkin kernel solves every (xi, alpha) group of modes that
+share theta.  Non-resonant modes have a unique periodic solution.
+Resonant modes need a vanishing compatibility integral and admit a
+one-parameter family; the solver borders the system with the cokernel
+direction and with the pin u(t*) = 0 at the argmax of the oscillation
+primitive, the member that stays uniformly bounded in the oscillatory
+regime.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from .trigpoly import TrigPoly, real_root_isolation
 
 TWO_PI = 2.0 * math.pi
 
-RESONANT_ZERO = "ZERO_LAMBDA"
 RESONANT_ARGMAX = "ARGMAX_BASEPOINT"
 
 
@@ -58,9 +61,6 @@ class _ModeContext:
     def prim(self, n: int) -> np.ndarray:
         ts = TWO_PI * np.arange(n) / n
         return np.asarray(self.primitive(ts), dtype=complex)
-
-    def osc_amp(self) -> float:
-        return self.primitive.sup_norm_bound()
 
 
 def _walk(op, *fields: SpectralField):
@@ -138,31 +138,101 @@ class AnnihilatorReport:
 
 
 def _data_bandwidth(G: np.ndarray) -> int:
-    """Largest frequency carrying more than machine-level energy in any row."""
+    """Largest frequency of the rows above the group's roundoff floor.
+
+    The floor is relative to the group's largest coefficient: the
+    rounding noise of data made by ``apply_operator`` reaches 1e-14 of a
+    row's peak, and a cut per row would read that noise as bandwidth.
+    """
     hat = np.abs(np.fft.fft(G, axis=1))
     n = G.shape[1]
     freqs = np.abs(np.fft.fftfreq(n, d=1.0 / n).astype(int))
-    live = (hat > 1e-14 * hat.max(axis=1, keepdims=True)).any(axis=0)
+    live = (hat > 1e-13 * hat.max()).any(axis=0)
     return int(freqs[live].max()) if live.any() else 0
 
 
-def _mode_grid_size(ctx: _ModeContext, G: np.ndarray) -> int:
-    """Grid fine enough for g * exp(oscillation primitive) to machine accuracy.
+def _truncation(ctx: _ModeContext, G: np.ndarray) -> int:
+    """Galerkin truncation N: the solution's coefficients |k| <= N.
 
-    The primitive has sup bound A, so the exponential's Fourier tail decays
-    like a Bessel function I_k(A); 8A + 32 modes past the data bandwidth
-    is far below machine epsilon.
+    A particular solution spreads the data's band by e^{+-prim}, whose
+    Fourier tail is a Bessel-like I_k(A) that must fall below roundoff
+    against the e^{2A} range of the pair; a resonant kernel element
+    e^{-imt - prim} sits at frequency -m with the same spread.
     """
-    need = max(64, int(8.0 * ctx.osc_amp()) + 32 + 2 * _data_bandwidth(G))
-    n = 64
-    while n < need:
-        n *= 2
-    return n
+    centre = max(_data_bandwidth(G), abs(ctx.resonant_m or 0))
+    return centre + int(2.0 * ctx.primitive.sup_norm_bound()) + 24
+
+
+def _grid_size(N: int) -> int:
+    """The smallest power of two >= 2N + 1, and at least 64."""
+    return max(64, 1 << (2 * N).bit_length())
+
+
+def _coefficients(V: np.ndarray, N: int) -> np.ndarray:
+    """Fourier coefficients k = -N..N of rows sampled on a grid of >= 2N+1."""
+    n = V.shape[1]
+    return np.fft.fft(V, axis=1)[:, np.arange(-N, N + 1) % n] / n
+
+
+def _synthesize(C: np.ndarray, n: int) -> np.ndarray:
+    """Samples on the uniform n-grid of coefficient rows k = -N..N."""
+    N = (C.shape[1] - 1) // 2
+    full = np.zeros((C.shape[0], n), dtype=complex)
+    full[:, np.arange(-N, N + 1) % n] = C
+    return np.fft.ifft(full, axis=1) * n
+
+
+def _adjoint_row(ctx: _ModeContext, N: int, n: int) -> np.ndarray:
+    """y with y . g_hat = (1 / 2 pi) * integral of g e^{imt + prim}.
+
+    e^{imt + prim} spans the cokernel of a resonant mode, so y annihilates
+    the range of the Galerkin matrix up to truncation.
+    """
+    ts = TWO_PI * np.arange(n) / n
+    ell = np.exp(1j * ctx.resonant_m * ts + ctx.prim(n))
+    return (np.fft.fft(ell) / n)[-np.arange(-N, N + 1) % n]
+
+
+def _gate(y: np.ndarray, Ghat: np.ndarray, G: np.ndarray, tol: float):
+    """(compatibility integrals, incompatible rows) of a resonant group.
+
+    The gate reads |y . g_hat| / |y| against tol * (max|g| + 1): the
+    compatibility integral measured in the direction of the cokernel, which
+    does not grow with the e^{A} scale of the integrating factor.
+    """
+    dots = Ghat @ y
+    bad = np.abs(dots) / np.linalg.norm(y) > tol * (np.abs(G).max(axis=1) + 1.0)
+    return TWO_PI * dots, bad
+
+
+def _galerkin_solve(ctx: _ModeContext, Ghat: np.ndarray,
+                    y: Optional[np.ndarray],
+                    t_star: Optional[float]) -> np.ndarray:
+    """Solve u' + theta u = g in coefficients k = -N..N for a stack of rows.
+
+    M = diag(theta0 + ik) + (convolution by theta_osc's coefficients).  A
+    resonant group solves the bordered system [[M, w], [p, 0]] [u; mu] =
+    [g_hat; 0] with w = conj(y) / |y| and p_k = e^{ik t_star}: the row p
+    pins u(t_star) = 0 and the column w takes up the part of g outside the
+    range of M, so the solution comes out in the argmax normalization.
+    """
+    size = Ghat.shape[1]
+    ks = np.arange(size) - (size - 1) // 2
+    M = np.diag(ctx.theta0 + 1j * ks)
+    for j, (re, im) in ctx.theta_osc.coeffs.items():
+        M += complex(re, im) * np.eye(size, k=-j)
+    if y is None:
+        return np.linalg.solve(M, Ghat.T).T
+    w = y.conj()[:, None] / np.linalg.norm(y)
+    p = np.exp(1j * ks * t_star)[None, :]
+    border = np.block([[M, w], [p, np.zeros((1, 1))]])
+    rhs = np.vstack([Ghat.T, np.zeros((1, len(Ghat)))])
+    return np.linalg.solve(border, rhs)[:-1].T
 
 
 def annihilator_test(op, g: SpectralField, tol: float = 1e-9) -> AnnihilatorReport:
     """Check the compatibility integrals on every resonant mode of g, with
-    the kernel and gate that ``solve`` uses."""
+    the truncation, cokernel row and gate that ``solve`` uses."""
     violations = []
     resonant = []
     for ctx, modes in _walk(op, g):
@@ -170,11 +240,10 @@ def annihilator_test(op, g: SpectralField, tol: float = 1e-9) -> AnnihilatorRepo
             continue
         resonant.extend(modes)
         G = _rows(g, modes)
-        n = _mode_grid_size(ctx, G)
+        N = _truncation(ctx, G)
+        n = _grid_size(N)
         G = fourier.resample(G, n)
-        _, comp = ode_solver.integral_formula(ctx.theta0, ctx.resonant_m,
-                                              ctx.prim(n), G)
-        bad = ode_solver.incompatible(comp, G, tol)
+        comp, bad = _gate(_adjoint_row(ctx, N, n), _coefficients(G, N), G, tol)
         violations.extend((modes[i], complex(comp[i]))
                           for i in np.flatnonzero(bad))
     return AnnihilatorReport(ok=not violations, violations=violations,
@@ -184,9 +253,6 @@ def annihilator_test(op, g: SpectralField, tol: float = 1e-9) -> AnnihilatorRepo
 # ---------------------------------------------------------------------------
 # Solving
 # ---------------------------------------------------------------------------
-
-# Guarded defect-correction passes per group in ``solve``.
-REFINE_STEPS = 2
 
 
 @dataclass
@@ -200,116 +266,52 @@ class SolveReport:
     sup_ratio: float
 
 
-def _solve_rows(ctx: _ModeContext, G: np.ndarray, prim: np.ndarray,
-                t_star: Optional[float]):
-    """The integral-formula kernel on a stack of data rows that share one
-    theta.  Returns (solutions, compatibility values or None).
+def solve(op, g: SpectralField, tol: float = 1e-9,
+          check_compat: bool = True) -> SolveReport:
+    """Solve L u = g mode by mode with one Fourier-Galerkin kernel.
 
-    Resonant rows come back in the argmax-pinned normalization, vanishing
-    at t_star, the argmax of the oscillation primitive: the lam = 0 member
-    can be exponentially large, which would sink every later step into
-    its roundoff.
+    Each (xi, alpha) group sizes its truncation N from the oscillation
+    amplitude and the data bandwidth; the solution grid is the smallest
+    power of two holding every group's 2N + 1 coefficients.  Raises
+    ModeUnsolvable on a resonant mode whose compatibility fails the gate
+    (unless ``check_compat`` is off).  Resonant modes vanish at the argmax
+    of the oscillation primitive, and the report carries the sup-norm
+    certificate max|u_mode| <= 2 pi max|g_mode| for them.
     """
-    U, comp = ode_solver.integral_formula(ctx.theta0, ctx.resonant_m, prim, G)
-    if not ctx.resonant:
-        return U, None
-    n = U.shape[1]
-    freqs = np.fft.fftfreq(n, d=1.0 / n).astype(int)
-    u_star = (np.fft.fft(U, axis=1) / n) @ np.exp(1j * freqs * t_star)
-    h_star = np.exp(-1j * ctx.resonant_m * t_star
-                    - complex(ctx.primitive(t_star)))
-    h = ode_solver.resonant_homogeneous(ctx.resonant_m, prim)
-    return U - np.outer(u_star / h_star, h), comp
-
-
-def _refine_rows(ctx: _ModeContext, U: np.ndarray, G: np.ndarray,
-                 t_star: Optional[float]) -> np.ndarray:
-    """Guarded defect-correction on a 4x grid.
-
-    The defect carries structure across the exp(primitive) envelope's whole
-    bandwidth, and its product with exp(primitive) must stay alias-free,
-    hence the oversampling; the low-pass drops the incorrigible white-noise
-    floor, and a pass is kept per row only if it shrinks that row's defect.
-    """
-    n = U.shape[1]
-    nf = 4 * n
-    prim = ctx.prim(nf)
-    theta = ctx.theta(nf)
-    freqs = np.fft.fftfreq(nf, d=1.0 / nf).astype(int)
-    kcut = nf // 2 - (int(8.0 * ctx.osc_amp()) + 40)
-    VF = fourier.resample(U, nf)
-    GF = fourier.resample(G, nf)
-    D = GF - _apply_rows(theta, VF)
-    best = np.abs(D).max(axis=1)
-    for _ in range(REFINE_STEPS):
-        Dh = np.fft.fft(D, axis=1)
-        Dh[:, np.abs(freqs) > kcut] = 0.0
-        CV, _ = _solve_rows(ctx, np.fft.ifft(Dh, axis=1), prim, t_star)
-        CAND = VF + CV
-        CD = GF - _apply_rows(theta, CAND)
-        cand_sup = np.abs(CD).max(axis=1)
-        acc = cand_sup < 0.95 * best
-        if not acc.any():
-            break
-        VF[acc] = CAND[acc]
-        D[acc] = CD[acc]
-        best[acc] = cand_sup[acc]
-    return fourier.resample(VF, n)
-
-
-def solve(op, g: SpectralField, resonant_strategy: str = RESONANT_ARGMAX,
-          tol: float = 1e-9, check_compat: bool = True) -> SolveReport:
-    """Solve L u = g mode by mode.
-
-    Raises ModeUnsolvable on a resonant mode with nonvanishing
-    compatibility (unless ``check_compat`` is off).  The returned report
-    carries the sup-norm certificate max|u_mode| <= 2 pi max|g_mode|
-    for the argmax-normalized resonant strategy.
-
-    Modes sharing one theta are solved as a vectorized batch, followed by
-    ``REFINE_STEPS`` guarded defect-correction passes that absorb the
-    roundoff amplified by the integrating factor's dynamic range.
-    """
-    plans = [(ctx, modes, _mode_grid_size(ctx, _rows(g, modes)))
+    plans = [(ctx, modes, _truncation(ctx, _rows(g, modes)))
              for ctx, modes in _walk(op, g)]
-    nt_u = max([64] + [n for _, _, n in plans])
+    nt_u = _grid_size(max([0] + [N for _, _, N in plans]))
     u = SpectralField(g.r, g.s, g.bound, nt_u)
     resonant = []
     sup_ratio = 0.0
     sup_ok = True
-    for ctx, modes, n in plans:
-        prim = ctx.prim(n)
-        G = fourier.resample(_rows(g, modes), n)
-        t_star = None
+    for ctx, modes, N in plans:
+        G = fourier.resample(_rows(g, modes), nt_u)
+        Ghat = _coefficients(G, N)
+        y = t_star = None
         if ctx.resonant:
             resonant.extend(modes)
+            y = _adjoint_row(ctx, N, nt_u)
+            if check_compat:
+                comp, bad = _gate(y, Ghat, G, tol)
+                if bad.any():
+                    raise ode_solver.ModeUnsolvable(complex(comp[np.argmax(bad)]))
             t_star = _oscillation_argmax(op, ctx.xi, ctx.alpha2)
-        U, comp = _solve_rows(ctx, G, prim, t_star)
-        if ctx.resonant and check_compat:
-            bad = ode_solver.incompatible(comp, G, tol)
-            if bad.any():
-                raise ode_solver.ModeUnsolvable(complex(comp[np.argmax(bad)]))
-        U = _refine_rows(ctx, U, G, t_star)
-        if ctx.resonant and resonant_strategy != RESONANT_ARGMAX:
-            # shift back to the lam = 0 normalization, which vanishes at 0
-            h = ode_solver.resonant_homogeneous(ctx.resonant_m, prim)
-            U = U - U[:, :1] * h[None, :]
+        U = _synthesize(_galerkin_solve(ctx, Ghat, y, t_star), nt_u)
         gmax = np.abs(G).max(axis=1)
         umax = np.abs(U).max(axis=1)
         nz = gmax > 0
         if nz.any():
             ratio = float((umax[nz] / (TWO_PI * gmax[nz])).max())
             sup_ratio = max(sup_ratio, ratio)
-            if ctx.resonant and resonant_strategy == RESONANT_ARGMAX \
-                    and ratio > 1.0 + 1e-9:
+            if ctx.resonant and ratio > 1.0 + 1e-9:
                 sup_ok = False
-        UU = fourier.resample(U, nt_u)
         for i, mode in enumerate(modes):
-            u.set(mode, UU[i])
+            u.set(mode, U[i])
     residual = residual_sup(op, u, g)
     return SolveReport(solution=u, residual_sup=residual,
                        mode_count=len(g.table), resonant_modes=resonant,
-                       strategy=resonant_strategy, sup_bound_ok=sup_ok,
+                       strategy=RESONANT_ARGMAX, sup_bound_ok=sup_ok,
                        sup_ratio=sup_ratio)
 
 

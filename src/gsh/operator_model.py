@@ -23,6 +23,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import sublevel
 from .numerics import (IN_LATTICE, NOT_IN_LATTICE, TAG_LIOUVILLE,
                        TAG_NON_LIOUVILLE, TAG_UNSPECIFIED, UNKNOWN,
                        LatticeResult, TaggedReal, classify_lattice_membership,
@@ -171,16 +172,27 @@ class EvolutionOperator:
 
     # -- mode data ---------------------------------------------------------
 
+    @cached_property
+    def _theta_osc(self) -> dict:
+        return {}
+
     def theta_osc(self, xi, alpha2) -> TrigPoly:
-        """Oscillatory part of i(<c(t),xi> + <d(t),alpha> - iq)."""
-        acc = TrigPoly.zero()
-        for j in range(self.r):
-            acc = acc + (self.a[j].osc().times_i()
-                         - self.b[j].osc()).scale(Fraction(xi[j]))
-        for k in range(self.s):
-            acc = acc + (self.e[k].osc().times_i()
-                         - self.f[k].osc()).scale(Fraction(alpha2[k], 2))
-        return acc
+        """Oscillatory part of i(<c(t),xi> + <d(t),alpha> - iq).
+
+        Memoized per mode on the operator, under the same rule as
+        ``constant_symbol``; callers must not mutate the returned TrigPoly.
+        """
+        key = (tuple(xi), tuple(alpha2))
+        if key not in self._theta_osc:
+            acc = TrigPoly.zero()
+            for j in range(self.r):
+                acc = acc + (self.a[j].osc().times_i()
+                             - self.b[j].osc()).scale(Fraction(xi[j]))
+            for k in range(self.s):
+                acc = acc + (self.e[k].osc().times_i()
+                             - self.f[k].osc()).scale(Fraction(alpha2[k], 2))
+            self._theta_osc[key] = acc
+        return self._theta_osc[key]
 
     def theta_mean(self, xi, alpha2) -> tuple[complex, Optional[tuple[Fraction, Fraction]], bool]:
         """(theta0, exact pair when rational, resonance decision).
@@ -815,33 +827,16 @@ def detect_CS(op: EvolutionOperator, search_bound: int = 8) -> Optional[tuple]:
             candidates.append((w, xi, alpha2))
     candidates.sort(key=lambda c: (c[0], c[1], c[2]))
     for _, xi, alpha2 in candidates:
-        theta = _imag_combo(op, xi, alpha2)
+        try:
+            theta = sublevel.mode_combination(op, xi, alpha2)
+        except ValueError:
+            continue    # an irrational offset: no exact sign test exists
         if not changes_sign(theta):
             continue
         re, im = op.inner_symbol(0, xi, alpha2)
         if _not_in_Z(re, im):
             return (xi, alpha2)
     return None
-
-
-def _imag_combo(op: EvolutionOperator, xi, alpha2) -> TrigPoly:
-    acc = TrigPoly.zero()
-    for j in range(op.r):
-        acc = acc + op.b[j].poly.scale(Fraction(xi[j]))
-    for k in range(op.s):
-        acc = acc + op.f[k].poly.scale(Fraction(alpha2[k], 2))
-    # rational offsets shift the constant term; irrational ones are not
-    # representable in a TrigPoly and are rejected upstream in CS search
-    off = Fraction(0)
-    for j in range(op.r):
-        if op.b[j].offset.is_rational():
-            off += op.b[j].offset.value * xi[j]
-    for k in range(op.s):
-        if op.f[k].offset.is_rational():
-            off += op.f[k].offset.value * Fraction(alpha2[k], 2)
-    if off:
-        acc = acc + TrigPoly.constant(off)
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -885,7 +880,7 @@ def _jsonable(obj):
 def classify(op: EvolutionOperator, bound: int = 16,
              zero_bound: int = 8) -> tuple[Verdict, Verdict]:
     """Decide GS and GH with clause identifiers and witnesses."""
-    from . import diophantine, sublevel
+    from . import diophantine
 
     S = structure_report(op)
     span1_ok = (S.span_dim == 1 and not S.any_sign_change)

@@ -37,26 +37,23 @@ UNKNOWN_AT_BOUND = "UNKNOWN_AT_BOUND"
 def mode_combination(op, xi, alpha2) -> TrigPoly:
     """theta(t) = <b(t), xi> + <f(t), alpha> as an exact TrigPoly.
 
-    Rational constant offsets are folded in; irrational offsets cannot
-    occur in the oscillatory regime (their means would be nonzero).
+    Rational constant offsets are folded in.  An irrational offset that
+    enters with a nonzero weight has no TrigPoly form and raises
+    ValueError; it cannot occur in the oscillatory regime, where the mean
+    vanishes.
     """
+    terms = [(op.b[j], Fraction(xi[j])) for j in range(op.r)]
+    terms += [(op.f[k], Fraction(alpha2[k], 2)) for k in range(op.s)]
     acc = TrigPoly.zero()
-    for j in range(op.r):
-        fn = op.b[j]
+    for fn, weight in terms:
+        if not weight:
+            continue
         poly = fn.poly
         if not fn.offset.is_zero():
             if not fn.offset.is_rational():
-                raise ValueError("irrational offsets have nonzero mean")
+                raise ValueError("irrational offsets have no TrigPoly form")
             poly = poly + TrigPoly.constant(fn.offset.value)
-        acc = acc + poly.scale(Fraction(xi[j]))
-    for k in range(op.s):
-        fn = op.f[k]
-        poly = fn.poly
-        if not fn.offset.is_zero():
-            if not fn.offset.is_rational():
-                raise ValueError("irrational offsets have nonzero mean")
-            poly = poly + TrigPoly.constant(fn.offset.value)
-        acc = acc + poly.scale(Fraction(alpha2[k], 2))
+        acc = acc + poly.scale(weight)
     return acc
 
 

@@ -8,13 +8,14 @@ import pytest
 
 from conftest import (mode_residual, odd_length_case, odd_length_u,
                       op_oscillatory_solvable, op_rational_constant,
-                      trig_interpolant)
+                      op_span1_hypoelliptic, trig_interpolant)
 from gsh import fourier, global_solver
 from gsh.fourier import ModeIndex, SpectralField, random_field
-from gsh.global_solver import (RESONANT_ARGMAX, RESONANT_ZERO, annihilator_test,
-                               apply_operator, decay_certify, residual_sup,
-                               solve)
-from gsh.ode_solver import ModeODE, ModeUnsolvable, compatibility
+from gsh.global_solver import (RESONANT_ARGMAX, annihilator_test, apply_operator,
+                               decay_certify, residual_sup, solve)
+from gsh.ode_solver import (ModeODE, ModeUnsolvable, compatibility, homogeneous,
+                            solve_mode)
+from gsh.operator_model import EvolutionOperator
 from gsh.trigpoly import TrigPoly
 
 TWO_PI = 2.0 * math.pi
@@ -74,23 +75,30 @@ def test_solve_manufactured_small():
     assert residual_sup(op, rep.solution, g, refine=2) < 1e-9
 
 
-def test_solve_nonresonant_recovers_exactly():
-    # shift q off the arithmetic ladder so every mode is non-resonant
+def _op_off_resonance() -> EvolutionOperator:
+    """op_oscillatory_solvable with q shifted off the arithmetic ladder, so
+    that every mode is non-resonant."""
     base = op_oscillatory_solvable()
-    from gsh.operator_model import EvolutionOperator
-    op = EvolutionOperator(1, 1, a=base.a, b=base.b, e=base.e, f=base.f,
-                           q_re="1/3", q_im=3)
-    rng = np.random.default_rng(4)
-    u_star = random_field(rng, 1, 1, 2, nt=16, t_bandwidth=2)
-    g = apply_operator(op, u_star, nt=256)
-    g = SpectralField(1, 1, 2, 256, g.table)
-    rep = solve(op, g)
-    assert len(rep.resonant_modes) == 0
-    worst = 0.0
-    for mode, vals in u_star.table.items():
-        got = fourier.resample(rep.solution.get(mode), 16)
-        worst = max(worst, float(np.abs(got - vals).max()))
-    assert worst < 1e-9
+    return EvolutionOperator(1, 1, a=base.a, b=base.b, e=base.e, f=base.f,
+                             q_re="1/3", q_im=3)
+
+
+def test_solve_nonresonant_recovers_exactly():
+    # span1_hypoelliptic at criterion 04's size, whose oscillation
+    # amplitude reaches 27: every mode non-resonant, so u* is the solution
+    for op, seed, bound, tb in ((_op_off_resonance(), 4, 2, 2),
+                                (op_span1_hypoelliptic(), 1, 6, 3)):
+        rng = np.random.default_rng(seed)
+        u_star = random_field(rng, 1, 1, bound, nt=16, t_bandwidth=tb)
+        g = apply_operator(op, u_star, nt=256)
+        g = SpectralField(1, 1, bound, 256, g.table)
+        rep = solve(op, g)
+        assert len(rep.resonant_modes) == 0
+        worst = 0.0
+        for mode, vals in u_star.table.items():
+            got = fourier.resample(rep.solution.get(mode), 16)
+            worst = max(worst, float(np.abs(got - vals).max()))
+        assert worst < 1e-10
 
 
 def test_solve_rejects_incompatible():
@@ -103,17 +111,6 @@ def test_solve_rejects_incompatible():
         solve(op, g)
     rep = solve(op, g, check_compat=False)
     assert rep.residual_sup > 1e-3  # honest: no periodic solution exists
-
-
-def test_resonant_strategies_differ_by_homogeneous():
-    op = op_oscillatory_solvable()
-    rng = np.random.default_rng(8)
-    u_star = random_field(rng, 1, 1, 1, nt=16, t_bandwidth=1)
-    g = apply_operator(op, u_star, nt=128)
-    g = SpectralField(1, 1, 1, 128, g.table)
-    rep_a = solve(op, g, resonant_strategy=RESONANT_ARGMAX)
-    rep_z = solve(op, g, resonant_strategy=RESONANT_ZERO)
-    assert rep_a.residual_sup < 1e-9 and rep_z.residual_sup < 1e-9
 
 
 def test_decay_certify_of_solution():
@@ -180,3 +177,78 @@ def test_annihilator_violations_match_the_per_mode_compatibility():
                       theta0=theta0, g=bad[mode], n=2048, theta0_exact=exact)
         scale = float(np.abs(g.get(mode)).max()) + 1.0
         assert abs(comp - compatibility(ode)) <= 1e-12 * scale
+
+
+def _largest_amplitude_group(op, F: SpectralField) -> tuple[SpectralField, float]:
+    """F restricted to its (xi, alpha) group of largest oscillation
+    amplitude, and that amplitude."""
+    def amp(key):
+        return op.theta_osc(*key).primitive().sup_norm_bound()
+    key = max({(m.xi, m.alpha2) for m in F.table}, key=amp)
+    table = {m: v for m, v in F.table.items() if (m.xi, m.alpha2) == key}
+    return SpectralField(F.r, F.s, F.bound, F.nt, table), amp(key)
+
+
+@pytest.fixture(scope="module")
+def bound8_group():
+    """A bound-8 field of op_oscillatory_solvable on its largest-amplitude
+    group (A = 27.3, 17 modes), and g = L u*."""
+    op = op_oscillatory_solvable()
+    u_star = random_field(np.random.default_rng(2), 1, 1, 8, nt=16,
+                          t_bandwidth=3)
+    u_star, amp = _largest_amplitude_group(op, u_star)
+    assert amp > 27 and len(u_star.table) == 17
+    return op, u_star, apply_operator(op, u_star, nt=256)
+
+
+def test_solve_high_amplitude_group_at_bound_8(bound8_group):
+    # the integrating-factor kernel carried roundoff of size e^{2A} into
+    # this group's solution, a residual of about 1.5e-6
+    op, u_star, g = bound8_group
+    rep = solve(op, g)
+    assert len(rep.resonant_modes) == 17
+    assert rep.residual_sup <= 1e-10
+    assert rep.sup_bound_ok
+
+
+def test_high_amplitude_gate_flags_only_the_perturbed_row(bound8_group):
+    op, u_star, g = bound8_group
+    rep = annihilator_test(op, g)
+    assert rep.ok and len(rep.resonant_modes) == 17
+    g = SpectralField(g.r, g.s, g.bound, g.nt, dict(g.table))
+    mode = list(g.table)[5]
+    m = op.theta_mean(mode.xi, mode.alpha2)[1][1]
+    ts = TWO_PI * np.arange(g.nt) / g.nt
+    g.set(mode, g.get(mode) + 1e-3 * np.exp(-1j * m * ts))
+    rep = annihilator_test(op, g)
+    assert [v[0] for v in rep.violations] == [mode]
+    with pytest.raises(ModeUnsolvable):
+        solve(op, g)
+
+
+def test_modes_agree_with_the_integral_formula_reference():
+    # each mode of the Galerkin solve against ode_solver.solve_mode on the
+    # solution grid: non-resonant modes agree, resonant ones vanish at the
+    # argmax t* and differ from the lam = 0 member by a homogeneous multiple
+    base = op_oscillatory_solvable()
+    for op in (base, _op_off_resonance()):
+        u_star = random_field(np.random.default_rng(6), 1, 1, 2, nt=16,
+                              t_bandwidth=2)
+        g = apply_operator(op, u_star, nt=64)
+        rep = solve(op, g)
+        n = rep.solution.nt
+        for mode in g.table:
+            theta0, exact, resonant = op.theta_mean(mode.xi, mode.alpha2)
+            ode = ModeODE(theta_osc=op.theta_osc(mode.xi, mode.alpha2),
+                          theta0=theta0, g=fourier.resample(g.get(mode), n),
+                          n=n, theta0_exact=exact)
+            u = rep.solution.get(mode)
+            diff = u - solve_mode(ode).values
+            if resonant:
+                t_star = global_solver._oscillation_argmax(op, mode.xi,
+                                                           mode.alpha2)
+                assert abs(trig_interpolant(u, [t_star])[0]) < 1e-12
+                h = homogeneous(ode)
+                diff = diff - (np.vdot(h, diff) / np.vdot(h, h)) * h
+            assert np.abs(diff).max() < 1e-11
+        assert len(rep.resonant_modes) == (len(g.table) if op is base else 0)

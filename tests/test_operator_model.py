@@ -96,6 +96,21 @@ def test_sign_change_witness_detection():
     assert detect_CS(op_oscillatory_solvable()) is None
 
 
+def test_irrational_offset_is_no_sign_change_witness():
+    # -(sin t + sqrt 2) never changes sign, but the sign test used to see
+    # only -sin t and returned xi = (-1, 0) as a CS witness
+    from gsh.operator_model import CoefFn
+    sqrt2 = TaggedReal.non_liouville(2 ** 0.5, key="sqrt2")
+    op = EvolutionOperator(2, 0, a=[0, 0],
+                           b=[CoefFn(TrigPoly.sin(1), sqrt2), TrigPoly.cos(1)],
+                           e=[], f=[], q_re=0, q_im=0)
+    assert detect_CS(op) is None
+    gs, gh = classify(op)
+    structural = {"span_dim": 2, "any_sign_change": True, "b0f0_zero": False}
+    assert (gs.status, gs.clause, gs.witness) == ("NO", CLAUSE_III, structural)
+    assert (gh.status, gh.clause, gh.witness) == ("NO", CLAUSE_II, structural)
+
+
 def test_zero_set_cases():
     empty, finite = zero_set_finiteness(op_sqrt2_hypoelliptic())
     assert empty is True and finite is True
