@@ -4,7 +4,8 @@ Subcommands: classify, solve, check-dc, sublevel, counterexample,
 transform.  Operators and right-hand sides are JSON files; reports are
 emitted as JSON or text.  Exit codes: 0 decided/succeeded, 2 input
 error, 3 undecided at the search bound, 4 compatibility (membership)
-failure, 5 the solve's residual check failed.
+failure, 5 the solve's residual check failed or an internal error (any
+other exception, reported as one ``internal error:`` line on stderr).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ EXIT_INPUT = 2
 EXIT_UNKNOWN = 3
 EXIT_MEMBERSHIP = 4
 EXIT_VERIFICATION = 5
+EXIT_INTERNAL = 5
 
 log = logging.getLogger("gsh")
 
@@ -305,6 +307,10 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(str(exc), file=sys.stderr)
         code = EXIT_INPUT
+    except Exception as exc:
+        log.debug("internal error", exc_info=True)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        code = EXIT_INTERNAL
     return code
 
 

@@ -445,21 +445,19 @@ def _match_grid(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return resample(a, n) * resample(b, n)
 
 
-def resample(vals: np.ndarray, n: int) -> np.ndarray:
-    """Band-limited resampling of periodic samples to n points.
+def place_spectrum(hat: np.ndarray, n: int) -> np.ndarray:
+    """An m-point DFT (last axis) moved to the n-point DFT layout of the
+    same trigonometric interpolant, for either parity of m and n.
 
-    Works over the last axis, for either parity of the input length m and
-    of n.  Frequencies |k| < min(m, n) / 2 are copied.  When the smaller
-    grid is even, its Nyquist bin is split between +-m/2 going up and
-    folded from +-n/2 going down, so data of bandwidth below
-    min(m, n) / 2 is reproduced exactly.
+    Frequencies |k| < min(m, n) / 2 are copied.  When the smaller grid is
+    even, its Nyquist bin is split between +-m/2 going up and folded from
+    +-n/2 going down, so data of bandwidth below min(m, n) / 2 is
+    reproduced exactly.  The scale of ``hat`` is kept.
     """
-    X = np.asarray(vals, dtype=complex)
-    m = X.shape[-1]
+    m = hat.shape[-1]
     if m == n:
-        return X
-    hat = np.fft.fft(X, axis=-1)
-    out = np.zeros(X.shape[:-1] + (n,), dtype=complex)
+        return hat
+    out = np.zeros(hat.shape[:-1] + (n,), dtype=complex)
     k = (min(m, n) - 1) // 2
     out[..., :k + 1] = hat[..., :k + 1]
     out[..., n - k:] = hat[..., m - k:]
@@ -470,7 +468,18 @@ def resample(vals: np.ndarray, n: int) -> np.ndarray:
             out[..., n - half] += hat[..., half] / 2.0
         else:
             out[..., half] = hat[..., half] + hat[..., m - half]
-    return np.fft.ifft(out, axis=-1) * (n / m)
+    return out
+
+
+def resample(vals: np.ndarray, n: int) -> np.ndarray:
+    """Band-limited resampling of periodic samples to n points, over the
+    last axis, by the placement rule of ``place_spectrum``."""
+    X = np.asarray(vals, dtype=complex)
+    m = X.shape[-1]
+    if m == n:
+        return X
+    hat = place_spectrum(np.fft.fft(X, axis=-1), n)
+    return np.fft.ifft(hat, axis=-1) * (n / m)
 
 
 # ---------------------------------------------------------------------------

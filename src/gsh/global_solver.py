@@ -22,9 +22,9 @@ from typing import Optional
 
 import numpy as np
 
-from . import fourier, ode_solver, sublevel
+from . import fourier, ode_solver
 from .fourier import ModeIndex, SpectralField
-from .trigpoly import TrigPoly, real_root_isolation
+from .trigpoly import TrigPoly
 
 TWO_PI = 2.0 * math.pi
 
@@ -40,8 +40,6 @@ RESONANT_ARGMAX = "ARGMAX_BASEPOINT"
 class _ModeContext:
     """What one (xi, alpha2) group shares: theta = theta0 + theta_osc."""
 
-    xi: tuple[int, ...]
-    alpha2: tuple[int, ...]
     theta_osc: TrigPoly
     theta0: complex
     resonant_m: Optional[int]   # m when theta0 = i m, else None
@@ -54,13 +52,10 @@ class _ModeContext:
     def primitive(self) -> TrigPoly:
         return self.theta_osc.primitive()
 
-    def theta(self, n: int) -> np.ndarray:
-        ts = TWO_PI * np.arange(n) / n
-        return self.theta0 + np.asarray(self.theta_osc(ts), dtype=complex)
-
-    def prim(self, n: int) -> np.ndarray:
-        ts = TWO_PI * np.arange(n) / n
-        return np.asarray(self.primitive(ts), dtype=complex)
+    @cached_property
+    def osc(self) -> dict[int, complex]:
+        """theta_osc's coefficients as floats."""
+        return {j: complex(re, im) for j, (re, im) in self.theta_osc.coeffs.items()}
 
 
 def _walk(op, *fields: SpectralField):
@@ -72,35 +67,88 @@ def _walk(op, *fields: SpectralField):
             groups.setdefault((mode.xi, mode.alpha2), {})[mode] = None
     for (xi, alpha2), modes in groups.items():
         theta0, exact, resonant = op.theta_mean(xi, alpha2)
-        yield (_ModeContext(xi, alpha2, op.theta_osc(xi, alpha2), theta0,
+        yield (_ModeContext(op.theta_osc(xi, alpha2), theta0,
                             int(exact[1]) if resonant else None),
                list(modes))
 
 
 def _rows(F: SpectralField, modes: list[ModeIndex]) -> np.ndarray:
     """The modes' values as a stack of rows; zero rows for absent modes."""
-    return np.stack([np.asarray(F.get(m), dtype=complex) for m in modes])
+    zero = np.zeros(F.nt, dtype=complex)
+    return np.stack([F.table.get(m, zero) for m in modes])
 
 
-def _apply_rows(theta: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """L on a stack of rows sampled on theta's uniform grid, spectrally in t."""
-    n = V.shape[1]
-    freqs = np.fft.fftfreq(n, d=1.0 / n).astype(int)
-    dV = np.fft.ifft(np.fft.fft(V, axis=1) * (1j * freqs)[None, :], axis=1)
-    return dV + theta[None, :] * V
+def _spectrum(F: SpectralField, modes: list[ModeIndex]) -> np.ndarray:
+    """The interpolant coefficients of the modes' rows, in DFT layout."""
+    return np.fft.fft(_rows(F, modes), axis=1) / F.nt
 
 
-def _oscillation_argmax(op, xi, alpha2) -> float:
-    """Argmax over the circle of the primitive of <b, xi> + <f, alpha>."""
-    theta_im = sublevel.mode_combination(op, xi, alpha2)
-    if theta_im.is_zero() or theta_im.mean_real() != 0:
+def _apply(ctx: _ModeContext, hat: np.ndarray, n: int) -> np.ndarray:
+    """L u in n-point DFT layout, from u's DFT rows ``hat``.
+
+    (theta0 + ik) u_hat + theta_osc * u_hat, the product a circular
+    convolution, which is the pointwise product on the grid.  It is taken
+    on the smallest odd layout that holds all of L u's band, unless the
+    n-grid is smaller: the convolution then wraps as the pointwise product
+    on the n-grid does.  An even grid's Nyquist bin holds a split cosine,
+    whose derivative vanishes on the grid.
+    """
+    m = min(n, 2 * (hat.shape[1] // 2 + ctx.theta_osc.bandwidth) + 1)
+    C = fourier.place_spectrum(hat, m)
+    ks = np.fft.fftfreq(m, d=1.0 / m)
+    if m % 2 == 0:
+        ks[m // 2] = 0.0
+    LC = (ctx.theta0 + 1j * ks) * C
+    for j, c in ctx.osc.items():
+        LC += c * np.roll(C, j, axis=1)
+    return fourier.place_spectrum(LC, n)
+
+
+def _oscillation_argmax(theta_osc: TrigPoly) -> float:
+    """Argmax over the circle of F = -Re(primitive of theta_osc).
+
+    For real coefficients F is the primitive of the oscillatory part of
+    <b, xi> + <f, alpha>.  Its critical points are the sign changes of
+    F' = -Re(theta_osc) on 64 points per unit bandwidth, refined together
+    to 1e-12 by Newton steps from the secant point, with a bisection
+    wherever a step would leave its bracket.
+    """
+    c = {k: complex(re, im) for k, (re, im) in theta_osc.coeffs.items()}
+    # F' has coefficients -(c_k + conj(c_-k)) / 2, exactly 0 where the
+    # rational ones are, since the float conversion is odd
+    dF = {k: -(c.get(k, 0) + c.get(-k, 0).conjugate()) / 2
+          for k in set(c) | {-k for k in c}}
+    ks = np.array([k for k in sorted(dF) if dF[k] != 0])
+    if ks.size == 0:
         return 0.0
-    F = theta_im.primitive()
-    crits = real_root_isolation(theta_im)
-    if not crits:
-        return 0.0
-    vals = [float(np.real(F(t))) for t in crits]
-    return crits[int(np.argmax(vals))]
+    d = np.array([dF[k] for k in ks])
+
+    def waves(t):
+        return np.exp(1j * np.outer(t, ks))
+
+    def f(t):
+        E = waves(t)
+        return (E @ d).real, (E @ (1j * ks * d)).real
+
+    n = 64 * int(np.abs(ks).max())
+    ts = TWO_PI * np.arange(n + 1) / n
+    vals = f(ts)[0]
+    i = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+    lo, hi, flo = ts[i], ts[i + 1], vals[i]
+    x = lo - flo * (hi - lo) / (vals[i + 1] - flo)
+    for _ in range(100):
+        fx, dfx = f(x)
+        same = np.sign(fx) == np.sign(flo)
+        lo, flo, hi = np.where(same, x, lo), np.where(same, fx, flo), np.where(same, hi, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nx = x - fx / dfx
+        nx = np.where((nx >= lo) & (nx <= hi), nx, 0.5 * (lo + hi))
+        done = (np.abs(nx - x) <= 1e-12).all()
+        x = nx
+        if done:
+            break
+    crits = np.concatenate([ts[:-1][vals[:-1] == 0.0], x])
+    return float(crits[np.argmax((waves(crits) @ (d / (1j * ks))).real)])
 
 
 # ---------------------------------------------------------------------------
@@ -109,17 +157,17 @@ def _oscillation_argmax(op, xi, alpha2) -> float:
 
 
 def apply_operator(op, u: SpectralField, nt: Optional[int] = None) -> SpectralField:
-    """L u computed mode-wise and spectrally in t.
+    """L u computed mode-wise in Fourier coefficients.
 
-    With ``nt`` the result is evaluated on a finer uniform grid (the
-    band-limited mode profiles are resampled exactly), which makes the
+    With ``nt`` the result is evaluated on another uniform grid: the
+    coefficients of u's interpolant are placed by ``fourier.place_spectrum``,
+    so a band-limited profile is carried over exactly, which makes the
     residual check independent of the solve grid.
     """
     nt_out = nt or u.nt
     out = SpectralField(u.r, u.s, u.bound, nt_out)
     for ctx, modes in _walk(op, u):
-        LV = _apply_rows(ctx.theta(nt_out),
-                         fourier.resample(_rows(u, modes), nt_out))
+        LV = np.fft.ifft(_apply(ctx, _spectrum(u, modes), nt_out), axis=1) * nt_out
         for i, m in enumerate(modes):
             out.set(m, LV[i])
     return out
@@ -137,21 +185,21 @@ class AnnihilatorReport:
     resonant_modes: list[ModeIndex]
 
 
-def _data_bandwidth(G: np.ndarray) -> int:
-    """Largest frequency of the rows above the group's roundoff floor.
+def _data_bandwidth(hat: np.ndarray) -> int:
+    """Largest frequency of DFT rows above the group's roundoff floor.
 
     The floor is relative to the group's largest coefficient: the
     rounding noise of data made by ``apply_operator`` reaches 1e-14 of a
     row's peak, and a cut per row would read that noise as bandwidth.
     """
-    hat = np.abs(np.fft.fft(G, axis=1))
-    n = G.shape[1]
+    mag = np.abs(hat)
+    n = hat.shape[1]
     freqs = np.abs(np.fft.fftfreq(n, d=1.0 / n).astype(int))
-    live = (hat > 1e-13 * hat.max()).any(axis=0)
+    live = (mag > 1e-13 * mag.max()).any(axis=0)
     return int(freqs[live].max()) if live.any() else 0
 
 
-def _truncation(ctx: _ModeContext, G: np.ndarray) -> int:
+def _truncation(ctx: _ModeContext, hat: np.ndarray) -> int:
     """Galerkin truncation N: the solution's coefficients |k| <= N.
 
     A particular solution spreads the data's band by e^{+-prim}, whose
@@ -159,7 +207,7 @@ def _truncation(ctx: _ModeContext, G: np.ndarray) -> int:
     against the e^{2A} range of the pair; a resonant kernel element
     e^{-imt - prim} sits at frequency -m with the same spread.
     """
-    centre = max(_data_bandwidth(G), abs(ctx.resonant_m or 0))
+    centre = max(_data_bandwidth(hat), abs(ctx.resonant_m or 0))
     return centre + int(2.0 * ctx.primitive.sup_norm_bound()) + 24
 
 
@@ -168,18 +216,21 @@ def _grid_size(N: int) -> int:
     return max(64, 1 << (2 * N).bit_length())
 
 
-def _coefficients(V: np.ndarray, N: int) -> np.ndarray:
-    """Fourier coefficients k = -N..N of rows sampled on a grid of >= 2N+1."""
-    n = V.shape[1]
-    return np.fft.fft(V, axis=1)[:, np.arange(-N, N + 1) % n] / n
+def _group_data(ctx: _ModeContext, g: SpectralField,
+                modes: list[ModeIndex]) -> tuple[int, np.ndarray, np.ndarray]:
+    """(N, g's coefficients k = -N..N, max|g| per row) of one group, read
+    off one gather and one FFT of its rows."""
+    G = _rows(g, modes)
+    hat = np.fft.fft(G, axis=1) / g.nt
+    N = _truncation(ctx, hat)
+    band = np.fft.fftshift(fourier.place_spectrum(hat, 2 * N + 1), axes=1)
+    return N, band, np.abs(G).max(axis=1)
 
 
 def _synthesize(C: np.ndarray, n: int) -> np.ndarray:
     """Samples on the uniform n-grid of coefficient rows k = -N..N."""
-    N = (C.shape[1] - 1) // 2
-    full = np.zeros((C.shape[0], n), dtype=complex)
-    full[:, np.arange(-N, N + 1) % n] = C
-    return np.fft.ifft(full, axis=1) * n
+    hat = fourier.place_spectrum(np.fft.ifftshift(C, axes=1), n)
+    return np.fft.ifft(hat, axis=1) * n
 
 
 def _adjoint_row(ctx: _ModeContext, N: int, n: int) -> np.ndarray:
@@ -189,11 +240,11 @@ def _adjoint_row(ctx: _ModeContext, N: int, n: int) -> np.ndarray:
     the range of the Galerkin matrix up to truncation.
     """
     ts = TWO_PI * np.arange(n) / n
-    ell = np.exp(1j * ctx.resonant_m * ts + ctx.prim(n))
+    ell = np.exp(1j * ctx.resonant_m * ts + ctx.primitive(ts))
     return (np.fft.fft(ell) / n)[-np.arange(-N, N + 1) % n]
 
 
-def _gate(y: np.ndarray, Ghat: np.ndarray, G: np.ndarray, tol: float):
+def _gate(y: np.ndarray, Ghat: np.ndarray, gmax: np.ndarray, tol: float):
     """(compatibility integrals, incompatible rows) of a resonant group.
 
     The gate reads |y . g_hat| / |y| against tol * (max|g| + 1): the
@@ -201,7 +252,7 @@ def _gate(y: np.ndarray, Ghat: np.ndarray, G: np.ndarray, tol: float):
     does not grow with the e^{A} scale of the integrating factor.
     """
     dots = Ghat @ y
-    bad = np.abs(dots) / np.linalg.norm(y) > tol * (np.abs(G).max(axis=1) + 1.0)
+    bad = np.abs(dots) / np.linalg.norm(y) > tol * (gmax + 1.0)
     return TWO_PI * dots, bad
 
 
@@ -219,8 +270,8 @@ def _galerkin_solve(ctx: _ModeContext, Ghat: np.ndarray,
     size = Ghat.shape[1]
     ks = np.arange(size) - (size - 1) // 2
     M = np.diag(ctx.theta0 + 1j * ks)
-    for j, (re, im) in ctx.theta_osc.coeffs.items():
-        M += complex(re, im) * np.eye(size, k=-j)
+    for j, c in ctx.osc.items():
+        M += c * np.eye(size, k=-j)
     if y is None:
         return np.linalg.solve(M, Ghat.T).T
     w = y.conj()[:, None] / np.linalg.norm(y)
@@ -239,11 +290,8 @@ def annihilator_test(op, g: SpectralField, tol: float = 1e-9) -> AnnihilatorRepo
         if not ctx.resonant:
             continue
         resonant.extend(modes)
-        G = _rows(g, modes)
-        N = _truncation(ctx, G)
-        n = _grid_size(N)
-        G = fourier.resample(G, n)
-        comp, bad = _gate(_adjoint_row(ctx, N, n), _coefficients(G, N), G, tol)
+        N, Ghat, gmax = _group_data(ctx, g, modes)
+        comp, bad = _gate(_adjoint_row(ctx, N, _grid_size(N)), Ghat, gmax, tol)
         violations.extend((modes[i], complex(comp[i]))
                           for i in np.flatnonzero(bad))
     return AnnihilatorReport(ok=not violations, violations=violations,
@@ -278,27 +326,28 @@ def solve(op, g: SpectralField, tol: float = 1e-9,
     of the oscillation primitive, and the report carries the sup-norm
     certificate max|u_mode| <= 2 pi max|g_mode| for them.
     """
-    plans = [(ctx, modes, _truncation(ctx, _rows(g, modes)))
+    # Each plan holds only its group's 2N + 1 coefficients, and is dropped
+    # once solved, so the plans never hold more than the solution will.
+    plans = [(ctx, modes, *_group_data(ctx, g, modes))
              for ctx, modes in _walk(op, g)]
-    nt_u = _grid_size(max([0] + [N for _, _, N in plans]))
+    nt_u = _grid_size(max([0] + [plan[2] for plan in plans]))
     u = SpectralField(g.r, g.s, g.bound, nt_u)
     resonant = []
     sup_ratio = 0.0
     sup_ok = True
-    for ctx, modes, N in plans:
-        G = fourier.resample(_rows(g, modes), nt_u)
-        Ghat = _coefficients(G, N)
+    plans.reverse()
+    while plans:
+        ctx, modes, N, Ghat, gmax = plans.pop()
         y = t_star = None
         if ctx.resonant:
             resonant.extend(modes)
             y = _adjoint_row(ctx, N, nt_u)
             if check_compat:
-                comp, bad = _gate(y, Ghat, G, tol)
+                comp, bad = _gate(y, Ghat, gmax, tol)
                 if bad.any():
                     raise ode_solver.ModeUnsolvable(complex(comp[np.argmax(bad)]))
-            t_star = _oscillation_argmax(op, ctx.xi, ctx.alpha2)
+            t_star = _oscillation_argmax(ctx.theta_osc)
         U = _synthesize(_galerkin_solve(ctx, Ghat, y, t_star), nt_u)
-        gmax = np.abs(G).max(axis=1)
         umax = np.abs(U).max(axis=1)
         nz = gmax > 0
         if nz.any():
@@ -318,13 +367,14 @@ def solve(op, g: SpectralField, tol: float = 1e-9,
 def residual_sup(op, u: SpectralField, g: SpectralField,
                  refine: int = 4) -> float:
     """sup-norm of L u - g over all modes, on a ``refine``-times finer grid,
-    taken one (xi, alpha2) group at a time."""
+    taken one (xi, alpha2) group at a time: L u - g is formed in
+    coefficients and synthesized with one inverse FFT per group."""
     nt = refine * u.nt
     worst = 0.0
     for ctx, modes in _walk(op, u, g):
-        LU = _apply_rows(ctx.theta(nt), fourier.resample(_rows(u, modes), nt))
-        GV = fourier.resample(_rows(g, modes), nt)
-        worst = max(worst, float(np.abs(LU - GV).max()))
+        R = (_apply(ctx, _spectrum(u, modes), nt)
+             - fourier.place_spectrum(_spectrum(g, modes), nt))
+        worst = max(worst, float(np.abs(np.fft.ifft(R, axis=1)).max()) * nt)
     return worst
 
 

@@ -45,6 +45,19 @@ def test_classify_text_format_and_out_file(tmp_path):
     assert "GS.status: YES" in text
 
 
+def test_internal_error_exits_5_with_one_line(tmp_path, capsys, monkeypatch):
+    from gsh import operator_model
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(operator_model, "classify", broken)
+    path = _write_op(tmp_path, op_rational_constant())
+    assert cli.main(["classify", path]) == cli.EXIT_INTERNAL == 5
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["internal error: RuntimeError: boom"]
+
+
 def test_classify_bad_input(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

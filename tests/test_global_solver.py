@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (mode_residual, odd_length_case, odd_length_u,
                       op_oscillatory_solvable, op_rational_constant,
                       op_span1_hypoelliptic, trig_interpolant)
 from gsh import fourier, global_solver
-from gsh.fourier import ModeIndex, SpectralField, random_field
+from gsh.fourier import ModeIndex, SpectralField, enumerate_modes, random_field
 from gsh.global_solver import (RESONANT_ARGMAX, annihilator_test, apply_operator,
                                decay_certify, residual_sup, solve)
 from gsh.ode_solver import (ModeODE, ModeUnsolvable, compatibility, homogeneous,
@@ -43,6 +45,44 @@ def test_apply_operator_oracle():
     assert np.abs(out.get(mode) - oracle).max() < 1e-12
 
 
+def _trig_samples(coef: dict[int, complex], n: int) -> np.ndarray:
+    ts = TWO_PI * np.arange(n) / n
+    return sum(c * np.exp(1j * k * ts) for k, c in coef.items())
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(5, 24), n=st.integers(5, 48), seed=st.integers(0, 2**16))
+@example(m=16, n=16, seed=0)   # equal grids, u's own Nyquist bin
+@example(m=15, n=15, seed=1)
+@example(m=16, n=10, seed=2)   # below: n's Nyquist bin, folded
+@example(m=15, n=8, seed=3)
+@example(m=8, n=21, seed=4)    # above: u's Nyquist bin, split
+@example(m=9, n=64, seed=5)
+def test_apply_operator_is_L_on_the_interpolant(m, n, seed):
+    # u's interpolant reaches the band both grids resolve, with a cosine
+    # in the smaller grid's Nyquist bin when it is even; L u on the n-grid
+    # must equal L applied pointwise to that interpolant
+    op = op_oscillatory_solvable()
+    rng = np.random.default_rng(seed)
+    lo = min(m, n)
+    group = [ModeIndex(xi=(1,), l2=(1,), alpha2=(1,), beta2=(b,)) for b in (-1, 1)]
+    other = ModeIndex(xi=(-2,), l2=(2,), alpha2=(0,), beta2=(2,))
+    u = SpectralField(1, 1, 2, m)
+    for mode in group + [other]:
+        half = (lo - 1) // 2
+        coef = {k: complex(*rng.normal(size=2)) for k in range(-half, half + 1)}
+        if lo % 2 == 0:
+            coef[lo // 2] = coef[-lo // 2] = rng.normal()
+        u.set(mode, _trig_samples(coef, m))
+    out = apply_operator(op, u, nt=n)
+    t = TWO_PI * np.arange(n) / n
+    for mode in group + [other]:
+        scale = 1.0 + float(np.abs(out.get(mode)).max())
+        assert mode_residual(op, mode, u.get(mode), out.get(mode), t) < 1e-13 * scale
+        alone = apply_operator(op, _single_mode_field(1, 1, 2, m, mode, u.get(mode)), nt=n)
+        assert np.abs(alone.get(mode) - out.get(mode)).max() < 1e-14 * scale
+
+
 def test_annihilator_test_flags_bad_mode():
     op = op_oscillatory_solvable()  # every mode is resonant
     nt = 16
@@ -73,6 +113,59 @@ def test_solve_manufactured_small():
     assert rep.strategy == RESONANT_ARGMAX
     # residual on an even finer grid stays small
     assert residual_sup(op, rep.solution, g, refine=2) < 1e-9
+
+
+def test_solve_pins_at_the_argmax_when_re_q_cancels_a_nonzero_mean():
+    # b = 1 + sin t has mean 1, which Re q = 1 cancels: the mode is
+    # resonant and F = 1 - cos t peaks at pi, but the pin used to sit at
+    # t = 0, the minimum of F, where sup_ratio read 1.05
+    op = EvolutionOperator(1, 0, a=[0], b=[TrigPoly.constant(1) + TrigPoly.sin(1)],
+                           e=[], f=[], q_re=1, q_im=0)
+    mode = ModeIndex(xi=(1,), l2=(), alpha2=(), beta2=())
+    ts = TWO_PI * np.arange(32) / 32
+    g = apply_operator(op, _single_mode_field(1, 0, 1, 32, mode, np.cos(ts) + 0.3))
+    rep = solve(op, g)
+    assert rep.resonant_modes == [mode]
+    assert rep.sup_bound_ok
+    assert abs(trig_interpolant(rep.solution.get(mode), [math.pi])[0]) < 1e-12
+
+
+@pytest.mark.parametrize("g_nt", [1024, 32])
+def test_reported_residual_is_the_certificate_of_the_solution(g_nt):
+    # g sampled finer and coarser than the solve grid: the report must
+    # read the original g rows, not g moved to the solution grid
+    op = op_oscillatory_solvable()
+    u_star = random_field(np.random.default_rng(7), 1, 1, 2, nt=16, t_bandwidth=2)
+    g = apply_operator(op, u_star, nt=g_nt)
+    rep = solve(op, g)
+    assert rep.solution.nt != g.nt
+    assert rep.residual_sup == pytest.approx(residual_sup(op, rep.solution, g),
+                                             rel=1e-12)
+
+
+def test_oscillation_argmax_is_the_maximum_of_the_primitive():
+    # every resonant group of a bound-4 field, and theta_osc = i p2 - p
+    # for seeded random real p, p2 of bandwidth 1-3, whose F' is p
+    op = op_oscillatory_solvable()
+    thetas = [op.theta_osc(*key)
+              for key in {(m.xi, m.alpha2) for m in enumerate_modes(1, 1, 4)}
+              if op.theta_mean(*key)[2]]
+    assert len(thetas) > 30
+    rng = np.random.default_rng(8)
+
+    def real_poly(bw):
+        coef = {}
+        for k in range(1, bw + 1):
+            re, im = (Fraction(int(v), 7) for v in rng.integers(-20, 21, size=2))
+            coef[k], coef[-k] = (re, im), (re, -im)
+        return TrigPoly(coef)
+
+    thetas += [real_poly(bw).times_i() - real_poly(bw) for bw in (1, 2, 3) for _ in range(3)]
+    t = TWO_PI * np.arange(2**16) / 2**16
+    for theta_osc in thetas:
+        prim = theta_osc.primitive()
+        t_star = global_solver._oscillation_argmax(theta_osc)
+        assert -prim(t_star).real >= (-prim(t).real).max() - 1e-12
 
 
 def _op_off_resonance() -> EvolutionOperator:
@@ -245,8 +338,8 @@ def test_modes_agree_with_the_integral_formula_reference():
             u = rep.solution.get(mode)
             diff = u - solve_mode(ode).values
             if resonant:
-                t_star = global_solver._oscillation_argmax(op, mode.xi,
-                                                           mode.alpha2)
+                t_star = global_solver._oscillation_argmax(
+                    op.theta_osc(mode.xi, mode.alpha2))
                 assert abs(trig_interpolant(u, [t_star])[0]) < 1e-12
                 h = homogeneous(ode)
                 diff = diff - (np.vdot(h, diff) / np.vdot(h, h)) * h
