@@ -96,13 +96,14 @@ class CoefFn:
         return np.real(base) + off
 
     def sign_changes(self) -> bool:
-        if self.offset.is_rational():
-            shifted = self.poly + TrigPoly.constant(self.offset.value)
-            return changes_sign(shifted)
-        n = 64 * max(self.poly.bandwidth, 1)
-        vals = self(2.0 * np.pi * np.arange(n) / n)
-        scale = float(np.max(np.abs(vals))) + 1e-300
-        return bool(vals.min() < -1e-12 * scale and vals.max() > 1e-12 * scale)
+        """Whether the function takes both signs, by trigpoly.changes_sign.
+
+        An irrational offset enters as Fraction(offset.approx); that is the
+        only float in this decision.
+        """
+        off = self.offset.value if self.offset.is_rational() \
+            else Fraction(self.offset.approx)
+        return changes_sign(self.poly + TrigPoly.constant(off))
 
 
 # ---------------------------------------------------------------------------
@@ -702,35 +703,23 @@ def structure_report(op: EvolutionOperator) -> StructureReport:
     imag_fns = list(op.b) + list(op.f)
     is_const = all(fn.is_constant() for fn in imag_fns)
     nonzero = [fn for fn in imag_fns if not fn.is_zero()]
-    if all(fn.irrational_offset() is None for fn in nonzero):
+    rational = all(fn.irrational_offset() is None for fn in nonzero)
+    if rational:
         span_dim, _ = _rank_exact(nonzero) if nonzero else (0, None)
     else:
         # numeric fallback when irrational constants appear
-        if not nonzero:
-            span_dim = 0
-        else:
-            n = 256
-            ts = 2.0 * np.pi * np.arange(n) / n
-            m = np.array([fn(ts) for fn in nonzero])
-            span_dim = int(np.linalg.matrix_rank(m, tol=1e-9))
+        n = 256
+        ts = 2.0 * np.pi * np.arange(n) / n
+        m = np.array([fn(ts) for fn in nonzero])
+        span_dim = int(np.linalg.matrix_rank(m, tol=1e-9))
     sign_change = [fn.sign_changes() for fn in imag_fns]
 
     span1 = None
-    if span_dim == 1:
-        base = next(fn for fn in nonzero)
-        lam, gam = [], []
-        ok = True
-        for fn, dest in [(fn, lam) for fn in op.b] + [(fn, gam) for fn in op.f]:
-            if fn.is_zero():
-                dest.append(Fraction(0))
-                continue
-            ratio = _ratio(fn, base)
-            if ratio is None:
-                ok = False
-                break
-            dest.append(ratio)
-        if ok:
-            span1 = {"b_tilde": base, "lambda": lam, "gamma": gam}
+    if span_dim == 1 and rational:
+        ratios = [fn.poly.ratio(nonzero[0].poly) for fn in imag_fns]
+        if None not in ratios:
+            span1 = {"b_tilde": nonzero[0], "lambda": ratios[:op.r],
+                     "gamma": ratios[op.r:]}
 
     b0f0_zero = all(fn.mean().is_zero() for fn in imag_fns)
     a0 = _all_in_lattice([fn.mean() for fn in op.a], Fraction(1))
@@ -765,27 +754,6 @@ def _combine_lattice(*results: LatticeResult) -> LatticeResult:
 def _all_in_lattice(values: list[TaggedReal], modulus: Fraction) -> LatticeResult:
     return _combine_lattice(*[classify_lattice_membership(v, modulus)
                               for v in values]) if values else LatticeResult(IN_LATTICE)
-
-
-def _ratio(fn: CoefFn, base: CoefFn) -> Optional[Fraction]:
-    """fn = ratio * base exactly, or None."""
-    if fn.irrational_offset() is not None or base.irrational_offset() is not None:
-        return None
-    for k in sorted(base.poly.coeffs):
-        re, im = base.poly.coefficient(k)
-        if re != 0:
-            fre, _ = fn.poly.coefficient(k)
-            ratio = fre / re
-            break
-        if im != 0:
-            _, fim = fn.poly.coefficient(k)
-            ratio = fim / im
-            break
-    else:
-        return None
-    if fn.poly == base.poly.scale(ratio):
-        return ratio
-    return None
 
 
 # ---------------------------------------------------------------------------

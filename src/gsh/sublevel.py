@@ -4,10 +4,13 @@ For a frequency pair (xi, alpha) the relevant function is the periodic
 primitive F of theta(t) = <b(t), xi> + <f(t), alpha>.  Global solvability
 in the oscillatory regime hinges on whether every sublevel set
 {t : F(t) < m} is connected on the circle, for every m and every mode.
-This module decides single-function connectedness exactly (critical
-points of a rational trigonometric polynomial), sweeps the mode family,
-and builds the smooth cutoff data used by the counterexample
-constructions.
+This module decides single-function connectedness exactly: the strict
+extrema of F are the sign changes of F', counted and ordered by
+trigpoly.sign_pattern, and every sublevel set is connected exactly when F
+has at most one strict minimum.  Extremum locations, critical values, the
+witness level m and the arcs of {F < m} are floats.  The module also
+sweeps the mode family and builds the smooth cutoff data used by the
+counterexample constructions.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .trigpoly import TrigPoly, real_root_isolation
+from .trigpoly import TrigPoly, sign_pattern
 
 TWO_PI = 2.0 * math.pi
 
@@ -86,83 +89,63 @@ class SublevelAnalysis:
     critical_points: list[float] = field(default_factory=list)
 
 
-def _sublevel_arcs(F: TrigPoly, m: float, n: int = 4096) -> list[tuple[float, float]]:
-    """Connected components of {t : F(t) < m} as circular arcs [lo, hi)."""
-    ts = TWO_PI * np.arange(n) / n
-    mask = np.real(F(ts)) < m
-    if mask.all():
+def _sublevel_arcs(F: TrigPoly, m: float,
+                   critical_points: list[float]) -> list[tuple[float, float]]:
+    """Connected components of {t : F(t) < m} as circular arcs (lo, hi),
+    lo in [0, 2 pi) and hi > lo.
+
+    ``critical_points`` are the strict extrema of F, ascending.  F is
+    monotone between consecutive ones, so each arc end is the one crossing
+    of F = m on such a stretch, which bisection finds.
+    """
+    crit = np.asarray(critical_points, dtype=float)
+    below = np.array([float(np.real(F(t))) for t in crit]) < m
+    if below.all():
         return [(0.0, TWO_PI)]
-    if not mask.any():
+    if not below.any():
         return []
-    # rotate so the sequence starts outside the sublevel set
-    start = int(np.argmin(mask))
-    arcs = []
-    in_run = False
-    lo = 0.0
-    for i in range(n + 1):
-        j = (start + i) % n
-        if mask[j] and not in_run:
-            in_run = True
-            lo = ts[j]
-        elif not mask[j] and in_run:
-            in_run = False
-            hi = ts[j]
-            if hi <= lo:
-                hi += TWO_PI
-            arcs.append((lo, hi))
-    return arcs
+    # stretch i runs from crit[i] to the next extremum, once round the circle
+    ends = np.append(crit[1:], crit[0] + TWO_PI)
+    cross = np.flatnonzero(below != np.roll(below, -1))
+    lo, hi = crit[cross], ends[cross]
+    falling = ~below[cross]     # F drops through m here: an arc starts
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        after = (np.real(F(mid)) < m) != falling
+        lo = np.where(after, mid, lo)
+        hi = np.where(after, hi, mid)
+    points = list(0.5 * (lo + hi))
+    first = int(np.argmax(falling))
+    points = points[first:] + points[:first]
+    return [(start % TWO_PI, start % TWO_PI + (end - start) % TWO_PI)
+            for start, end in zip(points[0::2], points[1::2])]
 
 
 def connected_all_m(F: TrigPoly) -> SublevelAnalysis:
     """Decide whether every sublevel set {F < m} is connected.
 
-    Critical points come from root isolation on F'; with at most one
-    strict local minimum all sublevels are nested arcs.  With two or more,
-    m halfway between the second-lowest minimum and the lowest maximum
-    separates two wells, which the dense arc count then exhibits.
+    Exact: a strict minimum is where F' turns from - to +, and minima and
+    maxima alternate, so all sublevel sets are connected exactly when F'
+    changes sign at most twice.  Otherwise m, halfway between the
+    second-lowest minimum and the lowest maximum, separates two wells.
     """
-    if F.is_zero() or F.is_constant():
+    if F.is_constant():
         return SublevelAnalysis(connected=True)
-    dF = F.derivative()
-    roots = real_root_isolation(dF)
-    vals = [float(np.real(F(t))) for t in roots]
-    if len(roots) < 2:
-        return SublevelAnalysis(connected=True, critical_points=roots,
-                                max_value=max(vals, default=0.0),
-                                min_value=min(vals, default=0.0))
-    # classify by the sign of F' on the gaps between consecutive roots
-    n = len(roots)
-    minima, maxima = [], []
-    for i in range(n):
-        left_mid = 0.5 * (roots[i - 1] + roots[i]) if i > 0 else \
-            0.5 * (roots[-1] - TWO_PI + roots[0])
-        right_mid = 0.5 * (roots[i] + roots[(i + 1) % n]) if i + 1 < n else \
-            0.5 * (roots[-1] + roots[0] + TWO_PI)
-        sl = float(np.real(dF(left_mid)))
-        sr = float(np.real(dF(right_mid)))
-        if sl < 0.0 < sr:
-            minima.append(i)
-        elif sl > 0.0 > sr:
-            maxima.append(i)
-        # degenerate plateaus (sl or sr ~ 0) are not strict extrema
-    min_vals = sorted(vals[i] for i in minima)
-    max_vals = sorted(vals[i] for i in maxima)
-    base = SublevelAnalysis(connected=True,
-                            max_value=max(vals), min_value=min(vals),
-                            minima=[roots[i] for i in minima],
-                            maxima=[roots[i] for i in maxima],
-                            critical_points=roots)
-    if len(min_vals) <= 1:
-        return base
-    m = 0.5 * (min_vals[1] + max_vals[0])
-    arcs = _sublevel_arcs(F, m)
-    if len(arcs) <= 1:
-        # numerically degenerate (equal critical values); treat as connected
-        return base
-    base.connected = False
-    base.m_witness = m
-    base.arcs = arcs
-    return base
+    pattern = sign_pattern(F.derivative())
+    crit = [t for t, _ in pattern]
+    vals = [float(np.real(F(t))) for t in crit]
+    analysis = SublevelAnalysis(
+        connected=sum(s > 0 for _, s in pattern) <= 1,
+        max_value=max(vals), min_value=min(vals),
+        minima=[t for t, s in pattern if s > 0],
+        maxima=[t for t, s in pattern if s < 0],
+        critical_points=crit)
+    if not analysis.connected:
+        min_vals = sorted(v for v, (_, s) in zip(vals, pattern) if s > 0)
+        max_vals = sorted(v for v, (_, s) in zip(vals, pattern) if s < 0)
+        analysis.m_witness = 0.5 * (min_vals[1] + max_vals[0])
+        analysis.arcs = _sublevel_arcs(F, analysis.m_witness, crit)
+    return analysis
 
 
 # ---------------------------------------------------------------------------
@@ -202,14 +185,6 @@ def _vector_to_mode(u, r: int, s: int) -> tuple[tuple, tuple]:
     return tuple(u[:r]), tuple(2 * x for x in u[r:])
 
 
-def normalized_witness_mode(xi, alpha2, r: int, s: int) -> tuple[tuple, tuple]:
-    """Smallest positive multiple of (xi, alpha) with integer alpha."""
-    vec = [2 * x for x in xi] + list(alpha2)
-    g = math.gcd(*[abs(v) for v in vec]) or 1
-    u = [v // g for v in vec]
-    return tuple(u[:r]), tuple(2 * x for x in u[r:])
-
-
 def connectedness_family(op, bound: int = 16) -> FamilyReport:
     """Connectedness of all sublevels over all frequency pairs.
 
@@ -225,7 +200,7 @@ def connectedness_family(op, bound: int = 16) -> FamilyReport:
 
     freqs = {k for fn in imag_fns for k in fn.poly.coeffs if k != 0}
     polys = [fn.poly for fn in imag_fns if not fn.is_zero()]
-    span1 = all(_proportional(p, polys[0]) for p in polys)
+    span1 = all(p.ratio(polys[0]) is not None for p in polys)
 
     if span1:
         found = _sweep(op, bound, need_both_signs=True)
@@ -238,20 +213,6 @@ def connectedness_family(op, bound: int = 16) -> FamilyReport:
     if found is not None:
         return found
     return FamilyReport(status=UNKNOWN_AT_BOUND, exact=False, bound=bound)
-
-
-def _proportional(p: TrigPoly, base: TrigPoly) -> bool:
-    for k in sorted(base.coeffs):
-        re, im = base.coefficient(k)
-        if re != 0:
-            ratio = p.coefficient(k)[0] / re
-            break
-        if im != 0:
-            ratio = p.coefficient(k)[1] / im
-            break
-    else:
-        return p.is_zero()
-    return p == base.scale(ratio)
 
 
 def _sweep(op, bound: int, need_both_signs: bool) -> Optional[FamilyReport]:
@@ -267,7 +228,7 @@ def _sweep(op, bound: int, need_both_signs: bool) -> Optional[FamilyReport]:
         theta = mode_combination(op, xi, alpha2)
         if theta.is_zero() or theta.mean_real() != 0:
             continue
-        key = _direction_key(theta)
+        key = theta.scale(1 / abs(theta.lead()))    # the ray of theta
         if key in seen:
             continue
         seen.add(key)
@@ -280,25 +241,6 @@ def _sweep(op, bound: int, need_both_signs: bool) -> Optional[FamilyReport]:
         if need_both_signs and len(seen) >= 2:
             return None
     return None
-
-
-def _direction_key(theta: TrigPoly):
-    """Canonical key for a TrigPoly modulo positive rational scaling."""
-    ks = sorted(theta.coeffs)
-    lead = None
-    for k in ks:
-        re, im = theta.coefficient(k)
-        if re != 0:
-            lead = abs(re)
-            break
-        if im != 0:
-            lead = abs(im)
-            break
-    items = []
-    for k in ks:
-        re, im = theta.coefficient(k)
-        items.append((k, re / lead, im / lead))
-    return tuple(items)
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +342,7 @@ def disjoint_closure_pair(F: TrigPoly,
         raise ValueError("all sublevels connected; no disjoint-closure pair")
     min_vals = sorted(float(np.real(F(t))) for t in analysis.minima)
     m0 = 0.5 * (min_vals[1] + analysis.m_witness)
-    wells = _sublevel_arcs(F, m0, n=n)
+    wells = _sublevel_arcs(F, m0, analysis.critical_points)
     comp = _complement_arcs(wells)
     if len(comp) < 2 or len(wells) < 2:
         raise ValueError("could not isolate two separated components")

@@ -3,16 +3,28 @@
 A TrigPoly is sum_k c_k e^{ikt} with c_k complex and both parts rational.
 This is the only admitted class of coefficient functions: it makes means,
 primitives, linear spans and sign changes exactly decidable.
+
+Sign changes are decided by one exact routine, sign_pattern: under
+x = tan(t/2) a real TrigPoly becomes a polynomial over Q, whose real roots
+of odd multiplicity Sturm sequences count, order and isolate.  The count,
+the order and the signs between roots are exact; root locations are floats
+within about 2^-54.  changes_sign takes a float short cut only to True,
+from samples beyond the rounding bound of a sampled sum.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 
 from .numerics import format_rational, parse_rational
+
+TWO_PI = 2.0 * math.pi
+_BELOW_TWO_PI = math.nextafter(TWO_PI, 0.0)
 
 
 class TrigPoly:
@@ -79,6 +91,22 @@ class TrigPoly:
 
     def coefficient(self, k: int) -> tuple[Fraction, Fraction]:
         return self.coeffs.get(int(k), (Fraction(0), Fraction(0)))
+
+    def lead(self) -> Fraction:
+        """First nonzero real or imaginary part in frequency order (0 for
+        zero); it scales with the polynomial."""
+        for k in sorted(self.coeffs):
+            re, im = self.coeffs[k]
+            return re or im
+        return Fraction(0)
+
+    def ratio(self, base: "TrigPoly") -> Optional[Fraction]:
+        """lam with self = lam * base exactly, or None (always for a zero base)."""
+        lead = base.lead()
+        if not lead:
+            return None
+        lam = self.lead() / lead
+        return lam if self == base.scale(lam) else None
 
     def mean(self) -> tuple[Fraction, Fraction]:
         return self.coefficient(0)
@@ -219,47 +247,173 @@ class TrigPoly:
         return "TrigPoly(" + " + ".join(parts) + ")"
 
 
-def real_root_isolation(p: TrigPoly, samples_per_band: int = 64,
-                        tol: float = 1e-12) -> list[float]:
-    """Sign-change roots of a real-valued TrigPoly on [0, 2pi).
+# -- exact real roots ------------------------------------------------------
+#
+# Under x = tan(t/2), e^{ikt} = (1 + ix)^{D+k} (1 - ix)^{D-k} / (1 + x^2)^D:
+# a real p of bandwidth D is P(x) / (1 + x^2)^D with P in Q[x], deg P <= 2D,
+# and has the sign of P.  x runs up the real line as t runs over (-pi, pi);
+# t = pi is x = infinity, a root of p of multiplicity 2D - deg P.  Polynomials
+# are integer lists, lowest degree first, known up to a positive factor.
 
-    Samples densely (64 per unit bandwidth by default) and bisects each
-    bracketing interval.  A degree-D trig polynomial has at most 2D roots,
-    so the dense sweep is complete for simple roots.
+
+@functools.lru_cache(maxsize=None)
+def _half_angle_basis(D: int, k: int) -> tuple[tuple[int, int], ...]:
+    """(re, im) coefficients of (1 + ix)^{D+k} (1 - ix)^{D-k}."""
+    re, im = [1], [0]
+    for s in [1] * (D + k) + [-1] * (D - k):        # times 1 + s i x
+        re, im = ([a - s * b for a, b in zip(re + [0], [0] + im)],
+                  [a + s * b for a, b in zip(im + [0], [0] + re)])
+    return tuple(zip(re, im))
+
+
+def _primitive(a) -> list[int]:
+    """a scaled by a positive factor to coprime integers, trailing zeros
+    dropped."""
+    den = math.lcm(*(c.denominator for c in a))
+    a = [c.numerator * (den // c.denominator) for c in a]
+    while a and not a[-1]:
+        a.pop()
+    g = math.gcd(*a) or 1
+    return [c // g for c in a]
+
+
+def _tan_half(p: TrigPoly) -> list[int]:
+    den = math.lcm(*(c.denominator for pair in p.coeffs.values() for c in pair))
+    acc = [0] * (2 * p.bandwidth + 1)
+    for k, (re, im) in p.coeffs.items():
+        re, im = int(re * den), int(im * den)
+        for j, (br, bi) in enumerate(_half_angle_basis(p.bandwidth, k)):
+            acc[j] += re * br - im * bi
+    return _primitive(acc)
+
+
+def _derivative(a: list[int]) -> list[int]:
+    return [i * c for i, c in enumerate(a)][1:]
+
+
+def _divide(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by b, each up to a positive factor:
+    each step scales a by |lead b| so that the division stays in integers."""
+    q, r = [0] * max(len(a) - len(b) + 1, 0), list(a)
+    scale, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
+    while len(r) >= len(b):
+        c, shift = sign * r[-1], len(r) - len(b)
+        q = [scale * x for x in q]
+        q[shift] += c
+        r = [scale * x for x in r]
+        for j, bj in enumerate(b):
+            r[shift + j] -= c * bj
+        while r and not r[-1]:
+            r.pop()
+    return _primitive(q), _primitive(r)
+
+
+def _odd_part(P: list[int]) -> list[int]:
+    """Square-free polynomial whose roots are the roots of odd multiplicity
+    of P.  A root of multiplicity m in P has multiplicity m - 1 in
+    g = gcd(P, P'), so it is odd in P exactly when it is a root of P / g
+    and not of the odd part of g."""
+    g, b = P, _derivative(P)
+    while b:
+        g, b = b, _divide(g, b)[1]
+    if len(g) == 1:
+        return P
+    return _divide(_divide(P, g)[0], _odd_part(g))[0]
+
+
+def _sign_at(a: list[int], num: int, e: int) -> int:
+    """Sign of a at num / 2^e."""
+    acc = 0
+    for k, c in enumerate(reversed(a)):
+        acc = acc * num + (c << e * k)
+    return (acc > 0) - (acc < 0)
+
+
+def _variations(seq: list[list[int]], num: int, e: int) -> int:
+    signs = [s for s in (_sign_at(a, num, e) for a in seq) if s]
+    return sum(u != v for u, v in zip(signs, signs[1:]))
+
+
+def _roots(Q: list[int]) -> list[float]:
+    """Real roots of the square-free Q, ascending.
+
+    Sturm's theorem isolates them: (a, b] holds V(a) - V(b) roots, V the
+    sign changes along Q's Sturm sequence.  Points are num / 2^e.
     """
-    if p.is_zero():
+    if len(Q) < 2:
         return []
-    n = max(samples_per_band * max(p.bandwidth, 1), 64)
-    ts = 2.0 * math.pi * np.arange(n + 1) / n
-    vals = np.real(p(ts))
+    seq = [Q, _derivative(Q)]
+    while len(seq[-1]) > 1:
+        seq.append([-c for c in _divide(seq[-2], seq[-1])[1]])
+    bits = (max(map(abs, Q)) // abs(Q[-1]) + 1).bit_length()   # Cauchy bound
+    lo, hi = -(1 << bits), 1 << bits
+    stack = [(lo, hi, 0, _variations(seq, lo, 0), _variations(seq, hi, 0))]
     roots = []
-    for i in range(n):
-        a, b = ts[i], ts[i + 1]
-        fa, fb = vals[i], vals[i + 1]
-        if fa == 0.0:
-            roots.append(a)
-            continue
-        if fa * fb < 0.0:
-            lo, hi, flo = a, b, fa
-            while hi - lo > tol:
-                mid = 0.5 * (lo + hi)
-                fm = float(np.real(p(mid)))
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if flo * fm < 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            roots.append(0.5 * (lo + hi))
+    while stack:
+        lo, hi, e, v_lo, v_hi = stack.pop()
+        if v_lo - v_hi == 1:
+            roots.append(_refine(Q, lo, hi, e))
+        elif v_lo - v_hi > 1:
+            v_mid = _variations(seq, lo + hi, e + 1)
+            stack += [(lo + hi, 2 * hi, e + 1, v_mid, v_hi),
+                      (2 * lo, lo + hi, e + 1, v_lo, v_mid)]
     return roots
 
 
-def changes_sign(p: TrigPoly, rel_margin: float = 1e-12) -> bool:
-    """Whether a real-valued TrigPoly takes both signs on the circle."""
+def _refine(Q: list[int], lo: int, hi: int, e: int) -> float:
+    """The one root of Q in (lo / 2^e, hi / 2^e], bisected on the sign of Q
+    to a width of 2^-55, which fixes the angle 2 atan x to 2^-54."""
+    s_hi = _sign_at(Q, hi, e)
+    if not s_hi:
+        lo = hi
+    while (hi - lo) << 55 > 1 << e:
+        mid, e = lo + hi, e + 1
+        s = _sign_at(Q, mid, e)
+        lo, hi = (mid, mid) if not s else (2 * lo, mid) if s == s_hi else (mid, 2 * hi)
+    return (lo + hi) / (1 << (e + 1))
+
+
+def sign_pattern(p: TrigPoly) -> list[tuple[float, int]]:
+    """Sign changes of a real-valued TrigPoly on the circle.
+
+    Returns (t, s) for each root t of odd multiplicity, ascending in
+    [0, 2 pi), with s = +1 or -1 the sign p takes just after t.  The
+    count, the order and the signs are exact; each t is a float within
+    about 2^-54 of the root.
+    """
+    if p.is_zero():
+        return []
+    P = _tan_half(p)
+    xs = _roots(_odd_part(P))
+    # beyond its largest root P has the sign of its leading coefficient,
+    # and it flips at each root of odd multiplicity
+    lead = 1 if P[-1] > 0 else -1
+    out = [(2.0 * math.atan(x) % TWO_PI, lead * (-1) ** (len(xs) - 1 - j))
+           for j, x in enumerate(xs)]
+    if (2 * p.bandwidth - len(P) + 1) % 2:
+        out.append((math.pi, lead * (-1) ** len(xs)))
+    return sorted((min(t, _BELOW_TWO_PI), s) for t, s in out)
+
+
+def real_root_isolation(p: TrigPoly) -> list[float]:
+    """Roots of odd multiplicity (the sign changes) of a real-valued
+    TrigPoly on [0, 2 pi), ascending; see sign_pattern."""
+    return [t for t, _ in sign_pattern(p)]
+
+
+def changes_sign(p: TrigPoly) -> bool:
+    """Whether a real-valued TrigPoly takes both signs on the circle:
+    exactly when sign_pattern is not empty.
+
+    Float samples only take a short cut to True.  The rounding error of a
+    sampled sum is O(D 2^-53 sum |c_k|), so a sample beyond
+    1e-12 sum |c_k| has a certain sign, and two such samples of opposite
+    sign prove a change.
+    """
     if p.is_zero():
         return False
-    n = max(64 * max(p.bandwidth, 1), 64)
-    vals = np.real(p(2.0 * math.pi * np.arange(n) / n))
-    scale = float(np.max(np.abs(vals))) + p.sup_norm_bound() * 1e-15
-    return bool(vals.min() < -rel_margin * scale and vals.max() > rel_margin * scale)
+    vals = np.real(p.sample(64 * max(p.bandwidth, 1)))
+    margin = 1e-12 * p.sup_norm_bound()
+    if vals.max() > margin and vals.min() < -margin:
+        return True
+    return bool(sign_pattern(p))

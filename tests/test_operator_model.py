@@ -111,6 +111,21 @@ def test_irrational_offset_is_no_sign_change_witness():
     assert (gh.status, gh.clause, gh.witness) == ("NO", CLAUSE_II, structural)
 
 
+def test_narrow_dip_is_a_sign_change():
+    # b dips to -1e-6 on an arc about 3e-3 wide around t = atan2(4, 3); a
+    # sampled sign test missed it and answered YES/YES clause ii
+    b = (TrigPoly.constant(1 - Fraction(1, 10 ** 6))
+         - TrigPoly.cos(1, Fraction(3, 5)) - TrigPoly.sin(1, Fraction(4, 5)))
+    op = EvolutionOperator(1, 0, a=[0], b=[b], e=[], f=[],
+                           q_re=0, q_im=Fraction(1, 3))
+    assert structure_report(op).sign_change == [True]
+    gs, gh = classify(op)
+    for v in (gs, gh):
+        # the sweep meets xi = -1 first; -b changes sign exactly when b does
+        assert (v.status, v.clause) == ("NO", CLAUSE_CS)
+        assert v.witness == {"xi": [-1], "alpha": []}
+
+
 def test_zero_set_cases():
     empty, finite = zero_set_finiteness(op_sqrt2_hypoelliptic())
     assert empty is True and finite is True

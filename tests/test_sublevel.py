@@ -11,7 +11,8 @@ from conftest import (_sin3_2t, op_disconnected_sublevel,
 from gsh.sublevel import (CONNECTED, DISCONNECTED, bump, circular_plateau,
                           connected_all_m, connectedness_family,
                           disjoint_closure_pair, mode_combination, primitive)
-from gsh.trigpoly import TrigPoly
+from gsh.operator_model import CLAUSE_III, EvolutionOperator, classify
+from gsh.trigpoly import TrigPoly, real_root_isolation
 
 TWO_PI = 2.0 * math.pi
 
@@ -51,6 +52,31 @@ def test_disconnected_cubed_harmonic():
     Fv = np.real(_sin3_2t().primitive()(ts)) < analysis.m_witness
     flips = int(np.sum(Fv != np.roll(Fv, 1)))
     assert flips == 4  # two arcs = four boundary crossings
+
+
+def _grid_components(F, m, n=1 << 16):
+    below = np.real(F(TWO_PI * np.arange(n) / n)) < m
+    return int(np.sum(below & ~np.roll(below, 1)))
+
+
+def test_shallow_well_is_disconnected():
+    # F' = sin t (cos t - 1/2)(cos t - 1/2 - 1/1000) changes sign six times:
+    # F has a third, shallow minimum between the critical points pi/3 and
+    # acos(0.501), 1.2e-3 apart, which a sampled root search missed
+    c = TrigPoly.cos(1)
+    b = (TrigPoly.sin(1) * (c - TrigPoly.constant(Fraction(1, 2)))
+         * (c - TrigPoly.constant(Fraction(501, 1000))))
+    assert len(real_root_isolation(b)) == 6
+    analysis = connected_all_m(b.primitive())
+    assert not analysis.connected and len(analysis.minima) == 3
+    assert _grid_components(b.primitive(), analysis.m_witness) >= 2
+
+    op = EvolutionOperator(1, 0, a=[0], b=[b], e=[], f=[], q_re=0, q_im=0)
+    gs, _ = classify(op)
+    assert (gs.status, gs.clause) == ("NO", CLAUSE_III)
+    F = b.primitive().scale(gs.witness["xi"][0])
+    assert _grid_components(F, gs.witness["m"]) >= 2
+    assert len(gs.witness["arcs"]) == _grid_components(F, gs.witness["m"])
 
 
 def test_family_connected_exact():
