@@ -18,10 +18,9 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import (TAG_LIOUVILLE, TAG_NON_LIOUVILLE, TAG_RATIONAL,
-                       TaggedReal, combine_tagged, liouville_tail_log10,
-                       rational_symbol_floor)
-from .operator_model import alpha_ball, mode_box
+from .numerics import (TAG_LIOUVILLE, TAG_NON_LIOUVILLE, l1_ball,
+                       liouville_tail_log10)
+from .operator_model import _dot, mode_box
 
 HOLDS = "HOLDS"
 FAILS = "FAILS"
@@ -68,31 +67,6 @@ class DCReport:
 # ---------------------------------------------------------------------------
 # Helpers
 # ---------------------------------------------------------------------------
-
-
-def _side_values(op) -> tuple[list[TaggedReal], list[TaggedReal]]:
-    """Tagged generators of the real and imaginary integer lattices.
-
-    The real part of the inner symbol is an integer combination of
-    {1, a0_j, e0_k/2, Im q} (with coefficient 1 on Im q) and the imaginary
-    part one of {b0_j, f0_k/2, Re q}.
-    """
-    half = Fraction(1, 2)
-    re_vals = [op.a[j].mean() for j in range(op.r)]
-    re_vals += [combine_tagged([(half, op.e[k].mean())]) for k in range(op.s)]
-    re_vals.append(op.q_im)
-    im_vals = [op.b[j].mean() for j in range(op.r)]
-    im_vals += [combine_tagged([(half, op.f[k].mean())]) for k in range(op.s)]
-    im_vals.append(op.q_re)
-    return re_vals, im_vals
-
-
-def _irrational_keys(values: list[TaggedReal]) -> dict[object, str]:
-    out = {}
-    for v in values:
-        if not v.is_rational():
-            out[v.key] = v.tag
-    return out
 
 
 def exp_gap_lower_bound(z: complex) -> float:
@@ -167,55 +141,39 @@ def liouville_violation_sequence(op, n_max: int = 6,
                                  direction_bound: int = 4) -> ViolationSequence:
     """Constructive sequence of modes with super-polynomially small symbol.
 
-    Recognized pattern: exactly one Liouville-tagged average, sitting in
-    some a0_j; Re q = 0; Im q an integer; all other averages rational; and
-    a rational direction (xi~, alpha~) with xi~_j != 0 cancelling the
-    imaginary lattice.  Scaling the direction by Q j_n and choosing the
-    integer tau_n that cancels the rational residue leaves
-    |sigma_n| = Q |xi~_j| j_n |mu - p_n / j_n|, certified small by the
-    big-integer tail bound of the generator.
+    Recognized pattern, read off the rows of the compiled constant symbol:
+    the real part has one irrational atom, a Liouville-tagged offset of a
+    single a_j; the imaginary part has none; Re q = 0 and Im q is an
+    integer; and a direction (xi~, alpha~) with xi~_j > 0 annuls the
+    imaginary row.  Let rho be the rational part of <a0, xi~> + <e0, alpha~>,
+    a_j's own rational part included, and Q its denominator.  Scaling the
+    direction by Q j_n and choosing the integer tau_n that cancels the
+    rational residue leaves |sigma_n| = Q |xi~_j| j_n |mu - p_n / j_n|,
+    certified small by the big-integer tail bound of the generator.
     """
-    # locate the unique Liouville average
-    liou_j = None
-    for j in range(op.r):
-        m = op.a[j].mean()
-        if m.tag == TAG_LIOUVILLE:
-            if liou_j is not None:
-                return ViolationSequence(False, message="pattern not recognized")
-            liou_j = j
-    if liou_j is None:
-        return ViolationSequence(False, message="pattern not recognized")
-    others = ([op.a[j].mean() for j in range(op.r) if j != liou_j]
-              + [op.b[j].mean() for j in range(op.r)]
-              + [op.e[k].mean() for k in range(op.s)]
-              + [op.f[k].mean() for k in range(op.s)]
-              + [op.q_re, op.q_im])
-    if not all(v.is_rational() for v in others):
-        return ViolationSequence(False, message="pattern not recognized")
-    if op.q_re.value != 0 or op.q_im.value.denominator != 1:
-        return ViolationSequence(False, message="pattern not recognized")
-    gen = op.a[liou_j].mean().generator
-    if gen is None:
-        return ViolationSequence(False, message="pattern not recognized")
+    no = ViolationSequence(False, message="pattern not recognized")
+    re, im = op.constant_symbol.re, op.constant_symbol.im
+    if len(re.atoms) != 1 or im.atoms or im.row[-1] != 0 \
+            or re.row[-1] % re.den != 0:
+        return no
+    row, mu = re.atoms[0]
+    support = [i for i, c in enumerate(row) if c]
+    if mu.tag != TAG_LIOUVILLE or mu.generator is None \
+            or len(support) != 1 or not 1 <= support[0] <= op.r:
+        return no
+    liou_j = support[0] - 1
+    gen = mu.generator
 
-    b0 = [op.b[j].mean().value for j in range(op.r)]
-    f0 = [op.f[k].mean().value for k in range(op.s)]
-    a0_rat = [op.a[j].mean().value if j != liou_j else Fraction(0)
-              for j in range(op.r)]
-    e0 = [op.e[k].mean().value for k in range(op.s)]
-
-    direction = _find_cancelling_direction(op.r, op.s, liou_j, b0, f0,
+    direction = _find_cancelling_direction(op.r, op.s, liou_j, im.row,
                                            direction_bound)
     if direction is None:
         return ViolationSequence(False,
                                  message="pattern not recognized: no "
                                          "imaginary-lattice cancelling direction")
     xi_t, alpha2_t = direction
-    # rational residue of <a0, xi~> + <e0, alpha~> (the Liouville term removed)
-    rho = sum(a0_rat[j] * xi_t[j] for j in range(op.r)) \
-        + sum(e0[k] * Fraction(alpha2_t[k], 2) for k in range(op.s))
+    rho = Fraction(_dot(re.row, (0, *xi_t, *alpha2_t, 0)), re.den)
     Q = rho.denominator
-    imq = int(op.q_im.value)
+    imq = re.row[-1] // re.den
     cprime_log = math.log(2.0 * Q * abs(xi_t[liou_j]))
 
     entries = []
@@ -240,14 +198,12 @@ def liouville_violation_sequence(op, n_max: int = 6,
                              constant_log=cprime_log)
 
 
-def _find_cancelling_direction(r, s, liou_j, b0, f0, bound):
+def _find_cancelling_direction(r, s, liou_j, im_row, bound):
     for xi in itertools.product(range(-bound, bound + 1), repeat=r):
         if xi[liou_j] <= 0:
             continue
-        for alpha2 in alpha_ball(s, 2 * bound):
-            total = sum(b0[j] * xi[j] for j in range(r)) \
-                + sum(f0[k] * Fraction(alpha2[k], 2) for k in range(s))
-            if total == 0:
+        for alpha2 in l1_ball(s, 2 * bound):
+            if _dot(im_row, (0, *xi, *alpha2, 0)) == 0:
                 return xi, alpha2
     return None
 
@@ -260,18 +216,17 @@ def _find_cancelling_direction(r, s, liou_j, b0, f0, bound):
 def dc_check(op, bound: int = 10) -> DCReport:
     """Decide the lower-bound condition for the constant-part symbol.
 
-    All-rational averages give an exact positive floor min(eps1, eps2)
-    with N = 0.  A single irrational average decides by its tag; anything
-    beyond that is probed numerically but reported as UNKNOWN.
+    Without irrational atoms every nonzero value of the real or imaginary
+    part is a multiple of 1/den of its row, so eps = 1 / max(den) is an
+    exact floor with N = 0.  A single irrational atom, on either side,
+    decides by its tag; anything beyond that is probed numerically but
+    reported as UNKNOWN.
     """
-    re_vals, im_vals = _side_values(op)
-    keys = {**_irrational_keys(re_vals), **_irrational_keys(im_vals)}
+    re, im = op.constant_symbol.re, op.constant_symbol.im
+    keys = {tr.key: tr.tag for _, tr in re.atoms + im.atoms}
 
     if not keys:
-        eps1 = rational_symbol_floor([Fraction(1)] + [v.value for v in re_vals])
-        eps2 = rational_symbol_floor([v.value for v in im_vals]) \
-            if im_vals else Fraction(1)
-        eps = min(eps1, eps2)
+        eps = Fraction(1, max(re.den, im.den))
         return DCReport(status=HOLDS, method=METHOD_EXACT, M=float(eps),
                         N=0.0, eps=eps, exact=True, bound=bound)
 

@@ -129,14 +129,6 @@ class GridSpec:
                 + (self.nphi, self.ntheta, self.npsi) * self.s)
 
     @property
-    def t_nodes(self) -> np.ndarray:
-        return TWO_PI * np.arange(self.nt) / self.nt
-
-    @property
-    def x_nodes(self) -> np.ndarray:
-        return TWO_PI * np.arange(self.nx) / self.nx
-
-    @property
     def phi_nodes(self) -> np.ndarray:
         return TWO_PI * np.arange(self.nphi) / self.nphi
 
@@ -250,17 +242,6 @@ class SpectralField:
 
     def copy_empty(self) -> "SpectralField":
         return SpectralField(self.r, self.s, self.bound, self.nt)
-
-    def scale_add(self, other: "SpectralField", factor: complex = 1.0) -> "SpectralField":
-        out = SpectralField(self.r, self.s, self.bound, self.nt,
-                            {m: v.copy() for m, v in self.table.items()})
-        for m, v in other.table.items():
-            out.table[m] = out.get(m) + factor * v
-        return out
-
-    def sup_norm(self) -> float:
-        return max((float(np.abs(v).max()) for v in self.table.values()),
-                   default=0.0)
 
     def to_json(self) -> dict:
         modes = []

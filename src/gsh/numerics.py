@@ -1,8 +1,8 @@
-"""Exact rationals, tagged reals, half-integers and Liouville generators.
+"""Exact rationals, tagged reals, half-integers, l1 balls and Liouville generators.
 
 All arithmetic decisions in the package bottom out here: lattice
-membership tests, uniform lower bounds for rational frequency
-combinations, and big-integer rational approximation sequences.
+membership tests, enumeration of integer l1 balls, and big-integer
+rational approximation sequences.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
 from typing import Callable, Optional
 
 # ---------------------------------------------------------------------------
@@ -77,6 +76,22 @@ class HalfInt:
 
     def __repr__(self) -> str:
         return format_rational(self.value)
+
+
+# ---------------------------------------------------------------------------
+# Integer l1 balls
+# ---------------------------------------------------------------------------
+
+
+def l1_ball(dim: int, weight: int):
+    """All u in Z^dim with |u|_1 <= weight, lexicographically."""
+    if dim == 0:
+        if weight >= 0:
+            yield ()
+        return
+    for head in range(-weight, weight + 1):
+        for tail in l1_ball(dim - 1, weight - abs(head)):
+            yield (head,) + tail
 
 
 # ---------------------------------------------------------------------------
@@ -284,21 +299,3 @@ def classify_lattice_membership(x: TaggedReal, modulus) -> LatticeResult:
     if dist <= _PROXIMITY_TOL:
         return LatticeResult(UNKNOWN)
     return LatticeResult(NOT_IN_LATTICE, qualitative=True)
-
-
-# ---------------------------------------------------------------------------
-# Uniform rational lower bound
-# ---------------------------------------------------------------------------
-
-
-def rational_symbol_floor(values: list) -> Fraction:
-    """Uniform positive lower bound for nonzero integer combinations.
-
-    Any nonzero integer combination of the given rationals is a nonzero
-    multiple of 1/lcm(denominators) and therefore at least that large.
-    """
-    if not values:
-        raise ValueError("values must be nonempty")
-    dens = [Fraction(v).denominator for v in values]
-    lcm = reduce(math.lcm, dens, 1)
-    return Fraction(1, lcm)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
@@ -27,7 +27,7 @@ from . import sublevel
 from .numerics import (IN_LATTICE, NOT_IN_LATTICE, TAG_LIOUVILLE,
                        TAG_NON_LIOUVILLE, TAG_UNSPECIFIED, UNKNOWN,
                        LatticeResult, TaggedReal, classify_lattice_membership,
-                       combine_tagged)
+                       l1_ball)
 from .trigpoly import TrigPoly, changes_sign
 
 YES, NO = "YES", "NO"
@@ -66,8 +66,10 @@ class CoefFn:
         return CoefFn(TrigPoly.constant(Fraction(value)))
 
     def mean(self) -> TaggedReal:
-        return combine_tagged([(Fraction(1), TaggedReal.rational(self.poly.mean_real())),
-                               (Fraction(1), self.offset)])
+        irr = self.irrational_offset()
+        if irr is None:
+            return TaggedReal.rational(self.mean_rational_part())
+        return replace(irr, approx=self.approx_mean())
 
     def mean_rational_part(self) -> Fraction:
         out = self.poly.mean_real()
@@ -88,7 +90,10 @@ class CoefFn:
         return self.poly.is_zero() and self.offset.is_zero()
 
     def approx_mean(self) -> float:
-        return float(self.poly.mean_real()) + self.offset.approx
+        irr = self.irrational_offset()
+        if irr is None:
+            return float(self.mean_rational_part())
+        return float(self.poly.mean_real()) + irr.approx
 
     def __call__(self, t):
         base = self.poly(t)
@@ -135,15 +140,6 @@ class EvolutionOperator:
             raise ValueError("torus coefficient count must equal r")
         if not (len(self.e) == len(self.f) == self.s):
             raise ValueError("sphere coefficient count must equal s")
-
-    # -- means -------------------------------------------------------------
-
-    def averages(self) -> tuple[list[tuple[TaggedReal, TaggedReal]],
-                                list[tuple[TaggedReal, TaggedReal]]]:
-        """(c0, d0) as (real mean, imaginary mean) tagged pairs."""
-        c0 = [(self.a[j].mean(), self.b[j].mean()) for j in range(self.r)]
-        d0 = [(self.e[k].mean(), self.f[k].mean()) for k in range(self.s)]
-        return c0, d0
 
     def q_approx(self) -> complex:
         return complex(self.q_re.approx, self.q_im.approx)
@@ -229,30 +225,32 @@ def _dot(row, v) -> int:
 class _AffineForm:
     """One real part of the inner symbol as an exact affine form in v.
 
-    Its rational part is row . v / den.  Each irrational atom (the key of
-    an irrational mean or of q) enters with coefficient atom_row . v / 2,
-    and the last occurrence of that key supplies the tag, as in
-    ``combine_tagged``.  ``terms`` keeps combine_tagged's term order as
-    (index, numerator, denominator, approx): the float approximation of an
-    irrational value is the same sum, term by term, that combine_tagged
-    forms, so reported probe constants do not depend on the compilation.
+    Every term is a mean (or q) scaled by a fixed weight.  Its rational
+    part goes into the integer row: the form's rational value is
+    row . v / den.  Its irrational offset goes into the atom row of the
+    offset's own key, so that offsets shared by several coefficients
+    cancel: the atom enters with coefficient atom_row . v / 2, and the
+    last occurrence of the key supplies the tag.  ``terms`` keeps each
+    mean's approx in term order as (index, numerator, denominator,
+    approx); an irrational value is approximated by that sum, term by
+    term, so reported floats do not depend on the decomposition.
     """
 
-    def __init__(self, terms: list[tuple[int, Fraction, TaggedReal]], n: int):
+    def __init__(self, terms: list[tuple[int, Fraction, CoefFn]], n: int):
         rational = [Fraction(0)] * n
         atoms: dict[object, tuple[list[int], TaggedReal]] = {}
-        for idx, scale, tr in terms:
-            if tr.is_rational():
-                rational[idx] += scale * tr.value
-            else:
-                row = atoms[tr.key][0] if tr.key in atoms else [0] * n
+        for idx, scale, fn in terms:
+            rational[idx] += scale * fn.mean_rational_part()
+            irr = fn.irrational_offset()
+            if irr is not None:
+                row = atoms[irr.key][0] if irr.key in atoms else [0] * n
                 row[idx] += int(2 * scale)
-                atoms[tr.key] = (row, tr)
+                atoms[irr.key] = (row, irr)
         self.den = math.lcm(*(x.denominator for x in rational))
         self.row = tuple(int(x * self.den) for x in rational)
         self.atoms = tuple((tuple(row), tr) for row, tr in atoms.values())
-        self.terms = tuple((idx, scale.numerator, scale.denominator, tr.approx)
-                           for idx, scale, tr in terms)
+        self.terms = tuple((idx, scale.numerator, scale.denominator,
+                            fn.approx_mean()) for idx, scale, fn in terms)
 
     def _live(self, v) -> list[tuple[int, TaggedReal]]:
         return [(c, tr) for row, tr in self.atoms if (c := _dot(row, v))]
@@ -293,24 +291,25 @@ class _AffineForm:
 class ConstantSymbol:
     """tau + <c0, xi> + <d0, alpha> - i q as two exact affine forms.
 
-    The means are computed once.  Every method takes the mode vector
-    v = (tau, xi, alpha2, 1) of integers and evaluates with Python ints,
-    which are exact for any denominator.
+    This is the one decomposition of the constant part: the zero set, the
+    Diophantine check and the Liouville sequence read its rows.  Every
+    method takes the mode vector v = (tau, xi, alpha2, 1) of integers and
+    evaluates with Python ints, which are exact for any denominator.
     """
 
     def __init__(self, op: "EvolutionOperator"):
         r, s = op.r, op.s
         one = 1 + r + s                      # index of the constant 1 in v
         half = Fraction(1, 2)
-        re_terms = [(0, Fraction(1), TaggedReal.rational(1)),
-                    (one, Fraction(1), op.q_im)]
-        im_terms = [(one, Fraction(-1), op.q_re)]
+        re_terms = [(0, Fraction(1), CoefFn.of(1)),
+                    (one, Fraction(1), CoefFn.of(op.q_im))]
+        im_terms = [(one, Fraction(-1), CoefFn.of(op.q_re))]
         for j in range(r):
-            re_terms.append((1 + j, Fraction(1), op.a[j].mean()))
-            im_terms.append((1 + j, Fraction(1), op.b[j].mean()))
+            re_terms.append((1 + j, Fraction(1), op.a[j]))
+            im_terms.append((1 + j, Fraction(1), op.b[j]))
         for k in range(s):
-            re_terms.append((1 + r + k, half, op.e[k].mean()))
-            im_terms.append((1 + r + k, half, op.f[k].mean()))
+            re_terms.append((1 + r + k, half, op.e[k]))
+            im_terms.append((1 + r + k, half, op.f[k]))
         self.re = _AffineForm(re_terms, one + 1)
         self.im = _AffineForm(im_terms, one + 1)
 
@@ -332,28 +331,16 @@ class ConstantSymbol:
 # ---------------------------------------------------------------------------
 
 
-def alpha_ball(s: int, weight2: int):
-    """All alpha2 in Z^s with sum |alpha2| <= weight2, lexicographically."""
-    if s == 0:
-        yield ()
-        return
-    for head in range(-weight2, weight2 + 1):
-        for tail in alpha_ball(s - 1, weight2 - abs(head)):
-            yield (head,) + tail
-
-
 def mode_box(r: int, s: int, bound: int):
     """(tau, xi, alpha2) with |tau| + |xi|_1 + |alpha2|_1 / 2 <= bound.
 
-    tau ascends; xi and alpha2 run lexicographically.  With s = 0 the xi
-    loop covers the whole cube [-rem, rem]^r, rem = bound - |tau|, rather
-    than the l1 ball.
+    tau ascends; xi and alpha2 run lexicographically.
     """
     for tau in range(-bound, bound + 1):
         rem = bound - abs(tau)
-        for xi in itertools.product(range(-rem, rem + 1), repeat=r):
+        for xi in l1_ball(r, rem):
             rem2 = rem - sum(abs(x) for x in xi)
-            for alpha2 in alpha_ball(s, 2 * rem2):
+            for alpha2 in l1_ball(s, 2 * rem2):
                 yield tau, xi, alpha2
 
 
@@ -551,74 +538,20 @@ def zero_set(op: EvolutionOperator, bound: int = 8) -> ZeroSetReport:
 def zero_set_finiteness(op: EvolutionOperator) -> tuple[Optional[bool], Optional[bool]]:
     """(empty, finite) for the full zero set, or None when undecidable.
 
-    Variables are (tau, xi, n = 2*alpha).  The real equation is
-    tau + <a0, xi> + <e0, n/2> + Im q = 0 and the imaginary one
-    <b0, xi> + <f0, n/2> - Re q = 0.  Irrational tagged means contribute
-    extra exact constraints: their rational multiplier forms must vanish.
+    Variables are v = (tau, xi, n = 2 alpha).  The symbol vanishes exactly
+    when the rational rows of its real and imaginary parts vanish at v and
+    so does every irrational atom row on each side: a nonzero multiple of
+    a tagged irrational is not rational, and atoms of different keys are
+    taken to be independent.  An unspecified atom leaves both answers
+    undecided.
     """
-    nvar = 1 + op.r + op.s  # tau, xi, n
-    re_row = [Fraction(0)] * nvar
-    im_row = [Fraction(0)] * nvar
-    re_row[0] = Fraction(1)
-    re_rhs = Fraction(0)
-    im_rhs = Fraction(0)
-    # irrational key -> (coefficient row, constant part)
-    extra: dict[object, tuple[list[Fraction], Fraction]] = {}
-
-    def add_term(var: int, fn: CoefFn, scale: Fraction, row: list[Fraction]):
-        row[var] += fn.mean_rational_part() * scale
-        irr = fn.irrational_offset()
-        if irr is not None:
-            if irr.tag == "unspecified":
-                raise _Undecidable()
-            erow = extra.setdefault(irr.key, ([Fraction(0)] * nvar, Fraction(0)))[0]
-            erow[var] += scale
-
-    class _Undecidable(Exception):
-        pass
-
-    try:
-        for j in range(op.r):
-            add_term(1 + j, op.a[j], Fraction(1), re_row)
-            add_term(1 + j, op.b[j], Fraction(1), im_row)
-        for k in range(op.s):
-            add_term(1 + op.r + k, op.e[k], Fraction(1, 2), re_row)
-            add_term(1 + op.r + k, op.f[k], Fraction(1, 2), im_row)
-    except _Undecidable:
+    forms = (op.constant_symbol.re, op.constant_symbol.im)
+    atoms = [atom for form in forms for atom in form.atoms]
+    if any(tr.tag == TAG_UNSPECIFIED for _, tr in atoms):
         return None, None
-    # q contributions
-    if op.q_im.is_rational():
-        re_rhs = -op.q_im.value
-    elif op.q_im.tag == "unspecified":
-        return None, None
-    else:
-        erow, econst = extra.setdefault(op.q_im.key, ([Fraction(0)] * nvar, Fraction(0)))
-        extra[op.q_im.key] = (erow, econst + 1)
-    if op.q_re.is_rational():
-        im_rhs = op.q_re.value
-    elif op.q_re.tag == "unspecified":
-        return None, None
-    else:
-        erow, econst = extra.setdefault(op.q_re.key, ([Fraction(0)] * nvar, Fraction(0)))
-        extra[op.q_re.key] = (erow, econst - 1)
-
-    rows = [re_row, im_row]
-    rhs = [re_rhs, im_rhs]
-    for erow, econst in extra.values():
-        if all(c == 0 for c in erow):
-            if econst != 0:
-                return True, True  # an irrational constant can never vanish
-            continue
-        if econst != 0:
-            # variable multiples of the irrational must cancel a fixed
-            # nonzero multiple: the multiplier form must equal -econst,
-            # which is a rational condition on integers -> add as equation
-            rows.append(list(erow))
-            rhs.append(-econst)
-        else:
-            rows.append(list(erow))
-            rhs.append(Fraction(0))
-    solvable, kernel_rank = _snf_solve(rows, rhs)
+    rows = [form.row for form in forms] + [row for row, _ in atoms]
+    solvable, kernel_rank = _snf_solve([list(row[:-1]) for row in rows],
+                                       [-row[-1] for row in rows])
     if not solvable:
         return True, True
     if op.s >= 1:
@@ -662,7 +595,6 @@ class StructureReport:
     a0_in_Z: LatticeResult
     e0_in_2Z: LatticeResult
     q_in_iZ: LatticeResult
-    span1: Optional[dict] = None  # {"b_tilde": CoefFn, "lambda": [...], "gamma": [...]}
 
 
 def _rank_exact(fns: list[CoefFn]) -> tuple[int, Optional[list[list[Fraction]]]]:
@@ -713,14 +645,6 @@ def structure_report(op: EvolutionOperator) -> StructureReport:
         m = np.array([fn(ts) for fn in nonzero])
         span_dim = int(np.linalg.matrix_rank(m, tol=1e-9))
     sign_change = [fn.sign_changes() for fn in imag_fns]
-
-    span1 = None
-    if span_dim == 1 and rational:
-        ratios = [fn.poly.ratio(nonzero[0].poly) for fn in imag_fns]
-        if None not in ratios:
-            span1 = {"b_tilde": nonzero[0], "lambda": ratios[:op.r],
-                     "gamma": ratios[op.r:]}
-
     b0f0_zero = all(fn.mean().is_zero() for fn in imag_fns)
     a0 = _all_in_lattice([fn.mean() for fn in op.a], Fraction(1))
     e0 = _all_in_lattice([fn.mean() for fn in op.e], Fraction(2))
@@ -736,7 +660,7 @@ def structure_report(op: EvolutionOperator) -> StructureReport:
                            sign_change=sign_change,
                            any_sign_change=any(sign_change),
                            b0f0_zero=b0f0_zero, a0_in_Z=a0, e0_in_2Z=e0,
-                           q_in_iZ=q_ok, span1=span1)
+                           q_in_iZ=q_ok)
 
 
 def _is_zero_test(x: TaggedReal) -> bool:
@@ -788,7 +712,7 @@ def detect_CS(op: EvolutionOperator, search_bound: int = 8) -> Optional[tuple]:
     """
     candidates = []
     for xi in itertools.product(range(-search_bound, search_bound + 1), repeat=op.r):
-        for alpha2 in alpha_ball(op.s, 2 * search_bound):
+        for alpha2 in l1_ball(op.s, 2 * search_bound):
             w = sum(abs(x) for x in xi) + sum(abs(a) for a in alpha2)
             if w == 0 or w > 2 * search_bound:
                 continue

@@ -15,7 +15,6 @@ counterexample constructions.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -23,6 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .numerics import l1_ball
 from .trigpoly import TrigPoly, sign_pattern
 
 TWO_PI = 2.0 * math.pi
@@ -171,14 +171,9 @@ def _primitive_vectors(r: int, s: int, bound: int):
     Each u encodes the mode (xi = u[:r], alpha = u[r:]) with integer
     alpha; connectedness only depends on the positive ray of a mode.
     """
-    dim = r + s
-    for u in itertools.product(range(-bound, bound + 1), repeat=dim):
-        w = sum(abs(x) for x in u)
-        if w == 0 or w > bound:
-            continue
-        if math.gcd(*[abs(x) for x in u]) != 1:
-            continue
-        yield u
+    for u in l1_ball(r + s, bound):
+        if math.gcd(*u) == 1:
+            yield u
 
 
 def _vector_to_mode(u, r: int, s: int) -> tuple[tuple, tuple]:

@@ -1,5 +1,6 @@
 """The compiled constant-part symbol against its combine_tagged reference."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,8 +11,9 @@ from conftest import op_rational_constant, op_span1_hypoelliptic
 from gsh import diophantine
 from gsh.numerics import (TAG_LIOUVILLE, TAG_NON_LIOUVILLE, TAG_UNSPECIFIED,
                           TaggedReal, combine_tagged, standard_liouville)
-from gsh.operator_model import (CLAUSE_I, CLAUSE_II, CoefFn,
-                                EvolutionOperator, classify, mode_box)
+from gsh.operator_model import (CLAUSE_I, CLAUSE_II, YES, CoefFn,
+                                EvolutionOperator, classify, mode_box,
+                                zero_set, zero_set_finiteness)
 from gsh.trigpoly import TrigPoly
 
 # one object each: coefficients that draw the same one share an atom
@@ -21,17 +23,36 @@ LIOUVILLE = TaggedReal.liouville(standard_liouville())
 VAGUE = TaggedReal.unspecified(0.3)
 
 
+def reference_sum(terms):
+    """combine_tagged over each mean's rational part and irrational offset.
+
+    That gives tag, value and key; the approximation of an irrational
+    result is the term-by-term sum over the means themselves.
+    """
+    split, approx = [], 0.0
+    for coef, x in terms:
+        fn = CoefFn.of(x)
+        mean = combine_tagged([(Fraction(1), TaggedReal.rational(fn.poly.mean_real())),
+                               (Fraction(1), fn.offset)])
+        approx += float(coef) * mean.approx
+        split.append((coef, TaggedReal.rational(fn.mean_rational_part())))
+        if fn.irrational_offset() is not None:
+            split.append((coef, fn.irrational_offset()))
+    out = combine_tagged(split)
+    return out if out.is_rational() else replace(out, approx=approx)
+
+
 def reference_parts(op, tau, xi, alpha2):
-    """(Re, Im) of the inner symbol, summed term by term by combine_tagged."""
-    re_terms = [(Fraction(tau), TaggedReal.rational(1)), (Fraction(1), op.q_im)]
+    """(Re, Im) of the inner symbol, summed term by term."""
+    re_terms = [(Fraction(tau), 1), (Fraction(1), op.q_im)]
     im_terms = [(Fraction(-1), op.q_re)]
     for j in range(op.r):
-        re_terms.append((Fraction(xi[j]), op.a[j].mean()))
-        im_terms.append((Fraction(xi[j]), op.b[j].mean()))
+        re_terms.append((Fraction(xi[j]), op.a[j]))
+        im_terms.append((Fraction(xi[j]), op.b[j]))
     for k in range(op.s):
-        re_terms.append((Fraction(alpha2[k], 2), op.e[k].mean()))
-        im_terms.append((Fraction(alpha2[k], 2), op.f[k].mean()))
-    return combine_tagged(re_terms), combine_tagged(im_terms)
+        re_terms.append((Fraction(alpha2[k], 2), op.e[k]))
+        im_terms.append((Fraction(alpha2[k], 2), op.f[k]))
+    return reference_sum(re_terms), reference_sum(im_terms)
 
 
 def reference_is_zero(re, im):
@@ -150,10 +171,11 @@ def test_classify_runs_dc_check_once(monkeypatch, make, clause):
 
 
 def test_mode_box_order():
-    # s = 0: xi runs over the whole cube [-rem, rem]^r, not the l1 ball
-    cube = [(x1, x2) for x1 in (-1, 0, 1) for x2 in (-1, 0, 1)]
+    # s = 0: xi runs over the l1 ball |xi|_1 <= bound - |tau|
+    ball = [(-1, 0), (0, -1), (0, 0), (0, 1), (1, 0)]
     assert list(mode_box(2, 0, 1)) == (
-        [(-1, (0, 0), ())] + [(0, xi, ()) for xi in cube] + [(1, (0, 0), ())])
+        [(-1, (0, 0), ())] + [(0, xi, ()) for xi in ball] + [(1, (0, 0), ())])
+    assert sum(1 for _ in mode_box(2, 0, 8)) == 833
     assert list(mode_box(1, 1, 1)) == [
         (-1, (0,), (0,)),
         (0, (-1,), (0,)),
@@ -162,3 +184,21 @@ def test_mode_box_order():
         (0, (1,), (0,)),
         (1, (0,), (0,)),
     ]
+
+
+def test_offsets_shared_across_rational_parts_cancel():
+    # a = [1 + sqrt2, sqrt2]: xi = (1, -1) cancels sqrt2 and tau = -1 the rest
+    op = _op(2, 0, a=[CoefFn(TrigPoly.constant(1), SHARED), SHARED], b=[0, 0])
+    assert op.symbol_is_zero(-1, (1, -1), ()) is True
+    assert (-1, (1, -1), (), ()) in zero_set(op).elements
+    rep = diophantine.dc_check(op)
+    assert (rep.status, rep.method) == (diophantine.HOLDS,
+                                        diophantine.METHOD_QUALITATIVE)
+
+
+def test_one_key_on_both_sides_gives_one_row_per_side():
+    # Re = tau + sqrt2 xi1 and Im = sqrt2 xi2 vanish only at the origin
+    op = _op(2, 0, a=[SHARED, 0], b=[0, SHARED])
+    assert zero_set_finiteness(op) == (False, True)
+    _, gh = classify(op)
+    assert (gh.status, gh.clause) == (YES, CLAUSE_I)

@@ -1,5 +1,6 @@
 """Lower bounds for the frozen-coefficient symbol and their failure."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -9,12 +10,13 @@ import pytest
 
 from conftest import (op_exact_floor, op_liouville, op_rational_constant,
                       op_sqrt2_hypoelliptic)
+from gsh import cli
 from gsh.diophantine import (FAILS, HOLDS, METHOD_EXACT, METHOD_QUALITATIVE,
                              METHOD_SEQUENCE, UNKNOWN, dc_check,
                              exp_gap_lower_bound,
                              liouville_violation_sequence)
-from gsh.numerics import TaggedReal
-from gsh.operator_model import EvolutionOperator
+from gsh.numerics import TaggedReal, standard_liouville
+from gsh.operator_model import EvolutionOperator, operator_from_json
 
 
 def test_exact_floor_value():
@@ -103,3 +105,26 @@ def test_two_irrational_keys_unknown():
     rep = dc_check(op, bound=6)
     assert rep.status == UNKNOWN
     assert rep.sweep_min is not None and rep.sweep_min > 0
+
+
+def test_liouville_sequence_keeps_the_rational_part(tmp_path):
+    # a = 1/3 + mu: tau_n must cancel the 1/3 as well as the p_n / j_n
+    obj = {"r": 1, "s": 0, "d": [], "q": {"re": "0", "im": "0"},
+           "c": [{"re": {"coeffs": [{"freq": 0, "re_rational": "1/3", "im": "0",
+                                     "re": {"tag": "liouville_standard",
+                                            "approx": 0.11}}]},
+                  "im": {"coeffs": []}}]}
+    path, out = tmp_path / "op.json", tmp_path / "dc.json"
+    path.write_text(json.dumps(obj))
+    assert cli.main(["--out", str(out), "check-dc", str(path)]) == cli.EXIT_OK
+    rep = json.loads(out.read_text())
+    assert (rep["status"], rep["method"]) == (FAILS, METHOD_SEQUENCE)
+    certified = {e["n"]: e["log_abs_upper"] for e in rep["witness"]["entries"]}
+    seq = liouville_violation_sequence(operator_from_json(obj))
+    assert [e.n for e in seq.entries] == sorted(certified)
+    # mu to within 2 * 10^-(N+1)!, far below every |sigma_n|, n <= N
+    p, j = standard_liouville().emit(max(certified) + 1)
+    for e in seq.entries:
+        sigma = abs(e.tau + e.xi[0] * (Fraction(1, 3) + Fraction(p, j)))
+        log_sigma = math.log(sigma.numerator) - math.log(sigma.denominator)
+        assert log_sigma < certified[e.n]

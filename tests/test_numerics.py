@@ -9,8 +9,7 @@ import pytest
 from gsh.numerics import (HalfInt, IN_LATTICE, NOT_IN_LATTICE, UNKNOWN,
                           TaggedReal, classify_lattice_membership,
                           combine_tagged, format_rational, liouville_tail_log10,
-                          parse_rational, rational_symbol_floor,
-                          standard_liouville)
+                          parse_rational, standard_liouville)
 
 
 def test_parse_format_round_trip():
@@ -79,15 +78,6 @@ def test_lattice_membership():
     assert far.status == NOT_IN_LATTICE and far.qualitative
     assert classify_lattice_membership(
         TaggedReal.unspecified(2.0), 1).status == UNKNOWN
-
-
-def test_rational_symbol_floor():
-    eps = rational_symbol_floor([Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)])
-    assert eps == Fraction(1, 30)
-    # every nonzero integer combination respects the floor
-    for c in range(-60, 61):
-        val = abs(Fraction(c, 30))
-        assert val == 0 or val >= eps
 
 
 def test_tagged_real_json_round_trip():

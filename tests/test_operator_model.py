@@ -85,7 +85,6 @@ def test_structure_report_span1():
     S = structure_report(op_span1_hypoelliptic())
     assert S.span_dim == 1
     assert not S.any_sign_change
-    assert S.span1 is not None
 
 
 def test_sign_change_witness_detection():
