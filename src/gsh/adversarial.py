@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -88,12 +87,14 @@ def cs_singular_rhs(op, xi, alpha2, n_max: int = 20,
     periodic solution then satisfies |u(t0)| of order k^{-1/2} while the
     data decays like e^{-kA}.  Amplitudes are carried in log domain.
     """
-    theta = sublevel.mode_combination(op, xi, alpha2)
+    theta = op.mode(xi, alpha2).imag
+    if theta is None:
+        raise ValueError("irrational offsets have no TrigPoly form")
     theta0 = float(theta.mean_real())
     if theta0 > 0:
         xi = tuple(-x for x in xi)
         alpha2 = tuple(-a for a in alpha2)
-        theta = sublevel.mode_combination(op, xi, alpha2)
+        theta = op.mode(xi, alpha2).imag
         theta0 = float(theta.mean_real())
     F_osc = theta.oscillatory_part().primitive()
     A, s0, t0 = _argmax_H(theta0, F_osc)
@@ -116,21 +117,14 @@ def cs_singular_rhs(op, xi, alpha2, n_max: int = 20,
     k = 0
     for n in range(1, n_max + 1):
         k = max(k + 1, n)
-        while True:
-            _, _, resonant = op.theta_mean(tuple(k * x for x in xi),
-                                           tuple(k * a for a in alpha2))
-            if not resonant:
-                break
+        while (sym := op.mode(tuple(k * x for x in xi),
+                              tuple(k * a for a in alpha2))).resonant:
             k += 1
-        osc = op.theta_osc(tuple(k * x for x in xi),
-                           tuple(k * a for a in alpha2))
-        th0, exact, _ = op.theta_mean(tuple(k * x for x in xi),
-                                      tuple(k * a for a in alpha2))
-        gate = 1.0 - np.exp(-TWO_PI * complex(th0))
+        gate = 1.0 - np.exp(-TWO_PI * complex(sym.theta0))
         # amplitude e^{-kA} handled as a log prefactor
         g_core = gate * phi(ts) * np.exp(1j * k * R * (t0 - ts) + q * (t0 - ts))
-        ode = ode_solver.ModeODE(theta_osc=osc, theta0=th0, g=g_core, n=ode_n,
-                                 theta0_exact=exact, resonant=False)
+        ode = ode_solver.ModeODE(theta_osc=sym.osc, theta0=sym.theta0, g=g_core,
+                                 n=ode_n, theta0_exact=sym.exact, resonant=False)
         sol = ode_solver.solve_mode(ode)
         u_core = sol.values
         idx0 = int(round(t0 / TWO_PI * ode_n)) % ode_n
@@ -189,26 +183,15 @@ def hormander_pair(op, xi, alpha2, ns=(1, 5, 10),
     while every seminorm bound decays like n^{4 lambda + 3 + s} e^{n omega}
     with omega < 0 exact from the sublevel geometry.
     """
-    theta_im = sublevel.mode_combination(op, xi, alpha2)
-    F = theta_im.primitive()
+    sym = op.mode(xi, alpha2)
+    F = sym.imag.primitive()
     analysis = sublevel.connected_all_m(F)
     cp = sublevel.disjoint_closure_pair(F, analysis)
 
-    # W(t) = integral of <c, xi> + <d, alpha>, including the linear mean part
-    osc = TrigPoly.zero()
-    mean = 0.0 + 0.0j
-    for j in range(op.r):
-        c_poly = op.a[j].poly + op.b[j].poly.times_i()
-        osc = osc + c_poly.oscillatory_part().scale(Fraction(xi[j]))
-        mean += complex(op.a[j].approx_mean(),
-                        float(op.b[j].mean_rational_part())) * xi[j]
-    for k in range(op.s):
-        d_poly = op.e[k].poly + op.f[k].poly.times_i()
-        osc = osc + d_poly.oscillatory_part().scale(Fraction(alpha2[k], 2))
-        mean += complex(op.e[k].approx_mean(),
-                        float(op.f[k].mean_rational_part())) * alpha2[k] / 2.0
-    W_osc = osc.primitive()
+    # W(t) = integral of <c, xi> + <d, alpha> = -i((theta0 - q) t + prim)
     q = op.q_approx()
+    mean = -1j * (sym.theta0 - q)
+    W_osc = sym.primitive.scale((0, -1))
 
     ts = TWO_PI * np.arange(nt) / nt
     g0v = cp.g0(ts)
@@ -330,13 +313,11 @@ def homogeneous_kernel_family(op, bound: int = 6,
     elements = []
     ladder = False
     for mode in fourier.enumerate_modes(op.r, op.s, bound):
-        _, exact, resonant = op.theta_mean(mode.xi, mode.alpha2)
-        if not resonant:
+        sym = op.mode(mode.xi, mode.alpha2)
+        if not sym.resonant:
             continue
-        osc = op.theta_osc(mode.xi, mode.alpha2)
-        th0, _, _ = op.theta_mean(mode.xi, mode.alpha2)
-        ode = ode_solver.ModeODE(theta_osc=osc, theta0=th0, g=TrigPoly.zero(),
-                                 n=nt, theta0_exact=exact)
+        ode = ode_solver.ModeODE(theta_osc=sym.osc, theta0=sym.theta0,
+                                 g=TrigPoly.zero(), n=nt, theta0_exact=sym.exact)
         vals = ode_solver.homogeneous(ode)
         f = SpectralField(op.r, op.s, bound, nt)
         f.set(mode, vals)

@@ -5,26 +5,27 @@ u' + theta(t) u = g with theta(t) = i<c(t), xi> + i<d(t), alpha> + q.
 Theta is a trigonometric polynomial of small bandwidth, so the ODE is a
 banded linear system in the Fourier coefficients of u, and one
 Fourier-Galerkin kernel solves every (xi, alpha) group of modes that
-share theta.  Non-resonant modes have a unique periodic solution.
-Resonant modes need a vanishing compatibility integral and admit a
-one-parameter family; the solver borders the system with the cokernel
-direction and with the pin u(t*) = 0 at the argmax of the oscillation
-primitive, the member that stays uniformly bounded in the oscillatory
-regime.
+share theta.  The solver reads theta from the operator's mode symbol
+(``op.mode``): its mean, its oscillation and that oscillation's float
+coefficients and primitive.  Non-resonant modes have a unique periodic
+solution.  Resonant modes need a vanishing compatibility integral and
+admit a one-parameter family; the solver borders the system with the
+cokernel direction and with the pin u(t*) = 0 at the argmax of the
+oscillation primitive, the member that stays uniformly bounded in the
+oscillatory regime.  t* is the symbol's exact-pattern ``argmax``, kept
+with the symbol, so repeated solves of one operator find it once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from . import fourier, ode_solver
 from .fourier import ModeIndex, SpectralField
-from .trigpoly import TrigPoly
 
 TWO_PI = 2.0 * math.pi
 
@@ -36,40 +37,16 @@ RESONANT_ARGMAX = "ARGMAX_BASEPOINT"
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _ModeContext:
-    """What one (xi, alpha2) group shares: theta = theta0 + theta_osc."""
-
-    theta_osc: TrigPoly
-    theta0: complex
-    resonant_m: Optional[int]   # m when theta0 = i m, else None
-
-    @property
-    def resonant(self) -> bool:
-        return self.resonant_m is not None
-
-    @cached_property
-    def primitive(self) -> TrigPoly:
-        return self.theta_osc.primitive()
-
-    @cached_property
-    def osc(self) -> dict[int, complex]:
-        """theta_osc's coefficients as floats."""
-        return {j: complex(re, im) for j, (re, im) in self.theta_osc.coeffs.items()}
-
-
 def _walk(op, *fields: SpectralField):
-    """Yield (context, modes) for each (xi, alpha2) group of the fields'
-    modes, in first-seen order; the modes of one group share theta."""
+    """Yield (mode symbol, modes) for each (xi, alpha2) group of the
+    fields' modes, in first-seen order; the modes of one group share
+    theta."""
     groups: dict[tuple, dict[ModeIndex, None]] = {}
     for F in fields:
         for mode in F.table:
             groups.setdefault((mode.xi, mode.alpha2), {})[mode] = None
     for (xi, alpha2), modes in groups.items():
-        theta0, exact, resonant = op.theta_mean(xi, alpha2)
-        yield (_ModeContext(op.theta_osc(xi, alpha2), theta0,
-                            int(exact[1]) if resonant else None),
-               list(modes))
+        yield op.mode(xi, alpha2), list(modes)
 
 
 def _rows(F: SpectralField, modes: list[ModeIndex]) -> np.ndarray:
@@ -83,7 +60,7 @@ def _spectrum(F: SpectralField, modes: list[ModeIndex]) -> np.ndarray:
     return np.fft.fft(_rows(F, modes), axis=1) / F.nt
 
 
-def _apply(ctx: _ModeContext, hat: np.ndarray, n: int) -> np.ndarray:
+def _apply(sym, hat: np.ndarray, n: int) -> np.ndarray:
     """L u in n-point DFT layout, from u's DFT rows ``hat``.
 
     (theta0 + ik) u_hat + theta_osc * u_hat, the product a circular
@@ -93,62 +70,15 @@ def _apply(ctx: _ModeContext, hat: np.ndarray, n: int) -> np.ndarray:
     on the n-grid does.  An even grid's Nyquist bin holds a split cosine,
     whose derivative vanishes on the grid.
     """
-    m = min(n, 2 * (hat.shape[1] // 2 + ctx.theta_osc.bandwidth) + 1)
+    m = min(n, 2 * (hat.shape[1] // 2 + sym.osc.bandwidth) + 1)
     C = fourier.place_spectrum(hat, m)
     ks = np.fft.fftfreq(m, d=1.0 / m)
     if m % 2 == 0:
         ks[m // 2] = 0.0
-    LC = (ctx.theta0 + 1j * ks) * C
-    for j, c in ctx.osc.items():
+    LC = (sym.theta0 + 1j * ks) * C
+    for j, c in sym.osc.floats.items():
         LC += c * np.roll(C, j, axis=1)
     return fourier.place_spectrum(LC, n)
-
-
-def _oscillation_argmax(theta_osc: TrigPoly) -> float:
-    """Argmax over the circle of F = -Re(primitive of theta_osc).
-
-    For real coefficients F is the primitive of the oscillatory part of
-    <b, xi> + <f, alpha>.  Its critical points are the sign changes of
-    F' = -Re(theta_osc) on 64 points per unit bandwidth, refined together
-    to 1e-12 by Newton steps from the secant point, with a bisection
-    wherever a step would leave its bracket.
-    """
-    c = {k: complex(re, im) for k, (re, im) in theta_osc.coeffs.items()}
-    # F' has coefficients -(c_k + conj(c_-k)) / 2, exactly 0 where the
-    # rational ones are, since the float conversion is odd
-    dF = {k: -(c.get(k, 0) + c.get(-k, 0).conjugate()) / 2
-          for k in set(c) | {-k for k in c}}
-    ks = np.array([k for k in sorted(dF) if dF[k] != 0])
-    if ks.size == 0:
-        return 0.0
-    d = np.array([dF[k] for k in ks])
-
-    def waves(t):
-        return np.exp(1j * np.outer(t, ks))
-
-    def f(t):
-        E = waves(t)
-        return (E @ d).real, (E @ (1j * ks * d)).real
-
-    n = 64 * int(np.abs(ks).max())
-    ts = TWO_PI * np.arange(n + 1) / n
-    vals = f(ts)[0]
-    i = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
-    lo, hi, flo = ts[i], ts[i + 1], vals[i]
-    x = lo - flo * (hi - lo) / (vals[i + 1] - flo)
-    for _ in range(100):
-        fx, dfx = f(x)
-        same = np.sign(fx) == np.sign(flo)
-        lo, flo, hi = np.where(same, x, lo), np.where(same, fx, flo), np.where(same, hi, x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            nx = x - fx / dfx
-        nx = np.where((nx >= lo) & (nx <= hi), nx, 0.5 * (lo + hi))
-        done = (np.abs(nx - x) <= 1e-12).all()
-        x = nx
-        if done:
-            break
-    crits = np.concatenate([ts[:-1][vals[:-1] == 0.0], x])
-    return float(crits[np.argmax((waves(crits) @ (d / (1j * ks))).real)])
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +96,8 @@ def apply_operator(op, u: SpectralField, nt: Optional[int] = None) -> SpectralFi
     """
     nt_out = nt or u.nt
     out = SpectralField(u.r, u.s, u.bound, nt_out)
-    for ctx, modes in _walk(op, u):
-        LV = np.fft.ifft(_apply(ctx, _spectrum(u, modes), nt_out), axis=1) * nt_out
+    for sym, modes in _walk(op, u):
+        LV = np.fft.ifft(_apply(sym, _spectrum(u, modes), nt_out), axis=1) * nt_out
         for i, m in enumerate(modes):
             out.set(m, LV[i])
     return out
@@ -199,7 +129,7 @@ def _data_bandwidth(hat: np.ndarray) -> int:
     return int(freqs[live].max()) if live.any() else 0
 
 
-def _truncation(ctx: _ModeContext, hat: np.ndarray) -> int:
+def _truncation(sym, hat: np.ndarray) -> int:
     """Galerkin truncation N: the solution's coefficients |k| <= N.
 
     A particular solution spreads the data's band by e^{+-prim}, whose
@@ -207,8 +137,8 @@ def _truncation(ctx: _ModeContext, hat: np.ndarray) -> int:
     against the e^{2A} range of the pair; a resonant kernel element
     e^{-imt - prim} sits at frequency -m with the same spread.
     """
-    centre = max(_data_bandwidth(hat), abs(ctx.resonant_m or 0))
-    return centre + int(2.0 * ctx.primitive.sup_norm_bound()) + 24
+    centre = max(_data_bandwidth(hat), abs(sym.resonant_m or 0))
+    return centre + int(2.0 * sym.primitive.sup_norm_bound()) + 24
 
 
 def _grid_size(N: int) -> int:
@@ -216,13 +146,13 @@ def _grid_size(N: int) -> int:
     return max(64, 1 << (2 * N).bit_length())
 
 
-def _group_data(ctx: _ModeContext, g: SpectralField,
+def _group_data(sym, g: SpectralField,
                 modes: list[ModeIndex]) -> tuple[int, np.ndarray, np.ndarray]:
     """(N, g's coefficients k = -N..N, max|g| per row) of one group, read
     off one gather and one FFT of its rows."""
     G = _rows(g, modes)
     hat = np.fft.fft(G, axis=1) / g.nt
-    N = _truncation(ctx, hat)
+    N = _truncation(sym, hat)
     band = np.fft.fftshift(fourier.place_spectrum(hat, 2 * N + 1), axes=1)
     return N, band, np.abs(G).max(axis=1)
 
@@ -233,14 +163,14 @@ def _synthesize(C: np.ndarray, n: int) -> np.ndarray:
     return np.fft.ifft(hat, axis=1) * n
 
 
-def _adjoint_row(ctx: _ModeContext, N: int, n: int) -> np.ndarray:
+def _adjoint_row(sym, N: int, n: int) -> np.ndarray:
     """y with y . g_hat = (1 / 2 pi) * integral of g e^{imt + prim}.
 
     e^{imt + prim} spans the cokernel of a resonant mode, so y annihilates
     the range of the Galerkin matrix up to truncation.
     """
     ts = TWO_PI * np.arange(n) / n
-    ell = np.exp(1j * ctx.resonant_m * ts + ctx.primitive(ts))
+    ell = np.exp(1j * sym.resonant_m * ts + sym.primitive(ts))
     return (np.fft.fft(ell) / n)[-np.arange(-N, N + 1) % n]
 
 
@@ -256,7 +186,7 @@ def _gate(y: np.ndarray, Ghat: np.ndarray, gmax: np.ndarray, tol: float):
     return TWO_PI * dots, bad
 
 
-def _galerkin_solve(ctx: _ModeContext, Ghat: np.ndarray,
+def _galerkin_solve(sym, Ghat: np.ndarray,
                     y: Optional[np.ndarray],
                     t_star: Optional[float]) -> np.ndarray:
     """Solve u' + theta u = g in coefficients k = -N..N for a stack of rows.
@@ -269,8 +199,8 @@ def _galerkin_solve(ctx: _ModeContext, Ghat: np.ndarray,
     """
     size = Ghat.shape[1]
     ks = np.arange(size) - (size - 1) // 2
-    M = np.diag(ctx.theta0 + 1j * ks)
-    for j, c in ctx.osc.items():
+    M = np.diag(sym.theta0 + 1j * ks)
+    for j, c in sym.osc.floats.items():
         M += c * np.eye(size, k=-j)
     if y is None:
         return np.linalg.solve(M, Ghat.T).T
@@ -286,12 +216,12 @@ def annihilator_test(op, g: SpectralField, tol: float = 1e-9) -> AnnihilatorRepo
     the truncation, cokernel row and gate that ``solve`` uses."""
     violations = []
     resonant = []
-    for ctx, modes in _walk(op, g):
-        if not ctx.resonant:
+    for sym, modes in _walk(op, g):
+        if not sym.resonant:
             continue
         resonant.extend(modes)
-        N, Ghat, gmax = _group_data(ctx, g, modes)
-        comp, bad = _gate(_adjoint_row(ctx, N, _grid_size(N)), Ghat, gmax, tol)
+        N, Ghat, gmax = _group_data(sym, g, modes)
+        comp, bad = _gate(_adjoint_row(sym, N, _grid_size(N)), Ghat, gmax, tol)
         violations.extend((modes[i], complex(comp[i]))
                           for i in np.flatnonzero(bad))
     return AnnihilatorReport(ok=not violations, violations=violations,
@@ -328,8 +258,8 @@ def solve(op, g: SpectralField, tol: float = 1e-9,
     """
     # Each plan holds only its group's 2N + 1 coefficients, and is dropped
     # once solved, so the plans never hold more than the solution will.
-    plans = [(ctx, modes, *_group_data(ctx, g, modes))
-             for ctx, modes in _walk(op, g)]
+    plans = [(sym, modes, *_group_data(sym, g, modes))
+             for sym, modes in _walk(op, g)]
     nt_u = _grid_size(max([0] + [plan[2] for plan in plans]))
     u = SpectralField(g.r, g.s, g.bound, nt_u)
     resonant = []
@@ -337,23 +267,23 @@ def solve(op, g: SpectralField, tol: float = 1e-9,
     sup_ok = True
     plans.reverse()
     while plans:
-        ctx, modes, N, Ghat, gmax = plans.pop()
+        sym, modes, N, Ghat, gmax = plans.pop()
         y = t_star = None
-        if ctx.resonant:
+        if sym.resonant:
             resonant.extend(modes)
-            y = _adjoint_row(ctx, N, nt_u)
+            y = _adjoint_row(sym, N, nt_u)
             if check_compat:
                 comp, bad = _gate(y, Ghat, gmax, tol)
                 if bad.any():
                     raise ode_solver.ModeUnsolvable(complex(comp[np.argmax(bad)]))
-            t_star = _oscillation_argmax(ctx.theta_osc)
-        U = _synthesize(_galerkin_solve(ctx, Ghat, y, t_star), nt_u)
+            t_star = sym.argmax
+        U = _synthesize(_galerkin_solve(sym, Ghat, y, t_star), nt_u)
         umax = np.abs(U).max(axis=1)
         nz = gmax > 0
         if nz.any():
             ratio = float((umax[nz] / (TWO_PI * gmax[nz])).max())
             sup_ratio = max(sup_ratio, ratio)
-            if ctx.resonant and ratio > 1.0 + 1e-9:
+            if sym.resonant and ratio > 1.0 + 1e-9:
                 sup_ok = False
         for i, mode in enumerate(modes):
             u.set(mode, U[i])
@@ -371,8 +301,8 @@ def residual_sup(op, u: SpectralField, g: SpectralField,
     coefficients and synthesized with one inverse FFT per group."""
     nt = refine * u.nt
     worst = 0.0
-    for ctx, modes in _walk(op, u, g):
-        R = (_apply(ctx, _spectrum(u, modes), nt)
+    for sym, modes in _walk(op, u, g):
+        R = (_apply(sym, _spectrum(u, modes), nt)
              - fourier.place_spectrum(_spectrum(g, modes), nt))
         worst = max(worst, float(np.abs(np.fft.ifft(R, axis=1)).max()) * nt)
     return worst

@@ -4,11 +4,15 @@ An evolution operator
 
     L = d/dt + sum_j (a_j + i b_j)(t) d/dx_j + sum_k (e_k + i f_k)(t) D3_k + q
 
-is stored with exact rational TrigPoly coefficient functions; each real
-part may additionally carry a tagged constant offset so that irrational
-constant coefficients stay honestly tagged.  The classifier implements the
-full decision trees for global solvability (GS) and global
-hypoellipticity (GH), returning three-valued verdicts with witnesses.
+is stored with exact rational TrigPoly coefficient functions; each part
+may additionally carry a tagged irrational constant offset.  Two compiled
+symbols are built from the coefficients on first use and memoized on the
+operator: ConstantSymbol, the exact constant part, and one ModeSymbol per
+(xi, alpha) mode, the theta of the mode's ODE u' + theta u = g.  The
+classifier, the solver and the counterexample constructions read them.
+The classifier implements the full decision trees for global solvability
+(GS) and global hypoellipticity (GH), returning three-valued verdicts with
+witnesses.
 """
 
 from __future__ import annotations
@@ -46,7 +50,11 @@ CLAUSE_CS, CLAUSE_DC = "CS", "DC"
 
 @dataclass(frozen=True)
 class CoefFn:
-    """A real-valued coefficient function: rational TrigPoly + tagged offset."""
+    """A real-valued coefficient function: rational TrigPoly + tagged offset.
+
+    A rational offset is folded into the polynomial, so ``offset`` is
+    always zero or irrational.
+    """
 
     poly: TrigPoly
     offset: TaggedReal = field(default_factory=lambda: TaggedReal.rational(0))
@@ -54,6 +62,10 @@ class CoefFn:
     def __post_init__(self):
         if not self.poly.is_real_valued():
             raise ValueError("coefficient functions must be real-valued")
+        if self.offset.is_rational() and not self.offset.is_zero():
+            object.__setattr__(self, "poly",
+                               self.poly + TrigPoly.constant(self.offset.value))
+            object.__setattr__(self, "offset", TaggedReal.rational(0))
 
     @staticmethod
     def of(value) -> "CoefFn":
@@ -72,10 +84,7 @@ class CoefFn:
         return replace(irr, approx=self.approx_mean())
 
     def mean_rational_part(self) -> Fraction:
-        out = self.poly.mean_real()
-        if self.offset.is_rational():
-            out += self.offset.value
-        return out
+        return self.poly.mean_real()
 
     def irrational_offset(self) -> Optional[TaggedReal]:
         return None if self.offset.is_rational() else self.offset
@@ -90,15 +99,10 @@ class CoefFn:
         return self.poly.is_zero() and self.offset.is_zero()
 
     def approx_mean(self) -> float:
-        irr = self.irrational_offset()
-        if irr is None:
-            return float(self.mean_rational_part())
-        return float(self.poly.mean_real()) + irr.approx
+        return float(self.poly.mean_real()) + self.offset.approx
 
     def __call__(self, t):
-        base = self.poly(t)
-        off = float(self.offset.value) if self.offset.is_rational() else self.offset.approx
-        return np.real(base) + off
+        return np.real(self.poly(t)) + self.offset.approx
 
     def sign_changes(self) -> bool:
         """Whether the function takes both signs, by trigpoly.changes_sign.
@@ -106,9 +110,7 @@ class CoefFn:
         An irrational offset enters as Fraction(offset.approx); that is the
         only float in this decision.
         """
-        off = self.offset.value if self.offset.is_rational() \
-            else Fraction(self.offset.approx)
-        return changes_sign(self.poly + TrigPoly.constant(off))
+        return changes_sign(self.poly + TrigPoly.constant(Fraction(self.offset.approx)))
 
 
 # ---------------------------------------------------------------------------
@@ -170,42 +172,26 @@ class EvolutionOperator:
     # -- mode data ---------------------------------------------------------
 
     @cached_property
-    def _theta_osc(self) -> dict:
+    def _modes(self) -> dict:
         return {}
 
-    def theta_osc(self, xi, alpha2) -> TrigPoly:
-        """Oscillatory part of i(<c(t),xi> + <d(t),alpha> - iq).
-
-        Memoized per mode on the operator, under the same rule as
-        ``constant_symbol``; callers must not mutate the returned TrigPoly.
-        """
+    def mode(self, xi, alpha2) -> "ModeSymbol":
+        """The symbol of the (xi, alpha2) mode, memoized on the operator
+        under the same rule as ``constant_symbol``; callers must not mutate
+        what its fields return."""
         key = (tuple(xi), tuple(alpha2))
-        if key not in self._theta_osc:
-            acc = TrigPoly.zero()
-            for j in range(self.r):
-                acc = acc + (self.a[j].osc().times_i()
-                             - self.b[j].osc()).scale(Fraction(xi[j]))
-            for k in range(self.s):
-                acc = acc + (self.e[k].osc().times_i()
-                             - self.f[k].osc()).scale(Fraction(alpha2[k], 2))
-            self._theta_osc[key] = acc
-        return self._theta_osc[key]
+        sym = self._modes.get(key)
+        if sym is None:
+            sym = self._modes[key] = ModeSymbol(self, *key)
+        return sym
+
+    def theta_osc(self, xi, alpha2) -> TrigPoly:
+        return self.mode(xi, alpha2).osc
 
     def theta_mean(self, xi, alpha2) -> tuple[complex, Optional[tuple[Fraction, Fraction]], bool]:
-        """(theta0, exact pair when rational, resonance decision).
-
-        theta0 = i*(Re inner) - (Im inner) at tau = 0; the mode is resonant
-        iff theta0 in iZ, i.e. Im inner == 0 and Re inner in Z (an
-        irrational real part is never an integer).
-        """
-        re, im = self.inner_symbol(0, xi, alpha2)
-        theta0 = self.symbol_L0(0, xi, alpha2)
-        exact = None
-        if re.is_rational() and im.is_rational():
-            exact = (-im.value, re.value)
-        resonant = (exact is not None and im.value == 0
-                    and re.value.denominator == 1)
-        return theta0, exact, resonant
+        """(theta0, exact pair when rational, resonance decision)."""
+        sym = self.mode(xi, alpha2)
+        return sym.theta0, sym.exact, sym.resonant
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +313,99 @@ class ConstantSymbol:
 
 
 # ---------------------------------------------------------------------------
+# The mode symbol
+# ---------------------------------------------------------------------------
+
+
+class ModeSymbol:
+    """theta(t) = i<c(t), xi> + i<d(t), alpha> + q of one (xi, alpha2) mode.
+
+    theta is the coefficient of the mode's ODE u' + theta u = g, and each
+    reader takes the part it needs: the mean theta0 decides resonance, the
+    imaginary combination <b, xi> + <f, alpha> decides sign changes and
+    sublevel connectedness, and the maximum of the primitive of its
+    oscillation is where the solver pins a resonant mode.  Every field is
+    computed on first use and kept.
+    """
+
+    def __init__(self, op: EvolutionOperator, xi: tuple, alpha2: tuple):
+        self.op, self.xi, self.alpha2 = op, xi, alpha2
+
+    def _terms(self):
+        """(Re c_j, Im c_j, xi_j), then (Re d_k, Im d_k, alpha_k)."""
+        yield from zip(self.op.a, self.op.b, map(Fraction, self.xi))
+        yield from zip(self.op.e, self.op.f,
+                       (Fraction(a, 2) for a in self.alpha2))
+
+    @cached_property
+    def parts(self) -> tuple[TaggedReal, TaggedReal]:
+        """(Re, Im) of the inner symbol <c0, xi> + <d0, alpha> - i q."""
+        return self.op.constant_symbol.parts(_mode_vector(0, self.xi, self.alpha2))
+
+    @cached_property
+    def theta0(self) -> complex:
+        """The mean of theta, i * (inner symbol), irrational parts by their
+        approx."""
+        re, im = self.parts
+        return complex(-im.approx, re.approx)
+
+    @cached_property
+    def exact(self) -> Optional[tuple[Fraction, Fraction]]:
+        """(Re, Im) of theta0 when both are rational."""
+        re, im = self.parts
+        if re.is_rational() and im.is_rational():
+            return -im.value, re.value
+        return None
+
+    @cached_property
+    def resonant_m(self) -> Optional[int]:
+        """m when theta0 = i m with m an integer (an irrational part never
+        is), else None."""
+        if self.exact is None or self.exact[0] or self.exact[1].denominator != 1:
+            return None
+        return int(self.exact[1])
+
+    @property
+    def resonant(self) -> bool:
+        return self.resonant_m is not None
+
+    @cached_property
+    def osc(self) -> TrigPoly:
+        """theta_osc = theta - theta0, exactly; ``osc.floats`` is its float
+        view."""
+        acc = TrigPoly.zero()
+        for re_fn, im_fn, w in self._terms():
+            acc = acc + (re_fn.osc().times_i() - im_fn.osc()).scale(w)
+        return acc
+
+    @cached_property
+    def primitive(self) -> TrigPoly:
+        """The periodic primitive of theta_osc, zero at t = 0."""
+        return self.osc.primitive()
+
+    @cached_property
+    def imag(self) -> Optional[TrigPoly]:
+        """<b, xi> + <f, alpha> exactly, or None when an irrational offset
+        survives.  Rational offsets are folded into the coefficients'
+        polynomials; the irrational ones are read off the constant symbol's
+        Im row at (0, xi, alpha2, 0), where offsets of one key cancel."""
+        if self.op.constant_symbol.im._live((0, *self.xi, *self.alpha2, 0)):
+            return None
+        acc = TrigPoly.zero()
+        for _, im_fn, w in self._terms():
+            if w:
+                acc = acc + im_fn.poly.scale(w)
+        return acc
+
+    @cached_property
+    def argmax(self) -> float:
+        """t* where F = -Re(primitive) is largest: F is the primitive of
+        the oscillatory part of <b, xi> + <f, alpha>, whose exact extrema
+        sublevel.argmax reads."""
+        return sublevel.argmax((-self.primitive).real_part())
+
+
+# ---------------------------------------------------------------------------
 # Mode box
 # ---------------------------------------------------------------------------
 
@@ -356,14 +435,8 @@ def _pair_to_json(re_fn: CoefFn, im_fn: CoefFn) -> dict:
             entries = [e for e in obj["coeffs"] if e["freq"] != 0]
             zero = next((e for e in obj["coeffs"] if e["freq"] == 0), None)
             base = zero["re"] if zero else "0"
-            if fn.offset.is_rational():
-                total = Fraction(base) + fn.offset.value
-                entries.append({"freq": 0, "re": f"{total.numerator}/{total.denominator}"
-                                if total.denominator != 1 else str(total.numerator),
-                                "im": "0"})
-            else:
-                entries.append({"freq": 0, "re": fn.offset.to_json(), "im": "0",
-                                "re_rational": base})
+            entries.append({"freq": 0, "re": fn.offset.to_json(), "im": "0",
+                            "re_rational": base})
             obj = {"coeffs": entries}
         return obj
     return {"re": one(re_fn), "im": one(im_fn)}
@@ -543,11 +616,14 @@ def zero_set_finiteness(op: EvolutionOperator) -> tuple[Optional[bool], Optional
     so does every irrational atom row on each side: a nonzero multiple of
     a tagged irrational is not rational, and atoms of different keys are
     taken to be independent.  An unspecified atom leaves both answers
-    undecided.
+    undecided, and so do atoms of two or more keys on one side: keys are not
+    known to be independent over Q (JSON gives every irrational its own
+    key, so sqrt 2 and sqrt 8 would be two).
     """
     forms = (op.constant_symbol.re, op.constant_symbol.im)
     atoms = [atom for form in forms for atom in form.atoms]
-    if any(tr.tag == TAG_UNSPECIFIED for _, tr in atoms):
+    if (any(tr.tag == TAG_UNSPECIFIED for _, tr in atoms)
+            or any(len(form.atoms) > 1 for form in forms)):
         return None, None
     rows = [form.row for form in forms] + [row for row, _ in atoms]
     solvable, kernel_rank = _snf_solve([list(row[:-1]) for row in rows],
@@ -604,10 +680,7 @@ def _rank_exact(fns: list[CoefFn]) -> tuple[int, Optional[list[list[Fraction]]]]
     for fn in fns:
         vec = []
         for k in freqs:
-            re, im = fn.poly.coefficient(k)
-            if k == 0 and fn.offset.is_rational():
-                re = re + fn.offset.value
-            vec.extend([re, im])
+            vec.extend(fn.poly.coefficient(k))
         cols.append(vec)
     # Gaussian elimination over Q
     mat = [list(c) for c in cols]
@@ -719,14 +792,10 @@ def detect_CS(op: EvolutionOperator, search_bound: int = 8) -> Optional[tuple]:
             candidates.append((w, xi, alpha2))
     candidates.sort(key=lambda c: (c[0], c[1], c[2]))
     for _, xi, alpha2 in candidates:
-        try:
-            theta = sublevel.mode_combination(op, xi, alpha2)
-        except ValueError:
-            continue    # an irrational offset: no exact sign test exists
-        if not changes_sign(theta):
-            continue
-        re, im = op.inner_symbol(0, xi, alpha2)
-        if _not_in_Z(re, im):
+        sym = op.mode(xi, alpha2)
+        # an irrational offset (imag None) has no exact sign test
+        if sym.imag is not None and changes_sign(sym.imag) \
+                and _not_in_Z(*sym.parts):
             return (xi, alpha2)
     return None
 

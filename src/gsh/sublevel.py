@@ -1,13 +1,15 @@
 """Sublevel-set geometry of coefficient primitives.
 
 For a frequency pair (xi, alpha) the relevant function is the periodic
-primitive F of theta(t) = <b(t), xi> + <f(t), alpha>.  Global solvability
-in the oscillatory regime hinges on whether every sublevel set
+primitive F of theta(t) = <b(t), xi> + <f(t), alpha>, which the operator's
+mode symbol holds (``op.mode(xi, alpha2).imag``).  Global solvability in
+the oscillatory regime hinges on whether every sublevel set
 {t : F(t) < m} is connected on the circle, for every m and every mode.
 This module decides single-function connectedness exactly: the strict
 extrema of F are the sign changes of F', counted and ordered by
 trigpoly.sign_pattern, and every sublevel set is connected exactly when F
-has at most one strict minimum.  Extremum locations, critical values, the
+has at most one strict minimum.  The same pattern gives ``argmax``, where
+the solver pins a resonant mode.  Extremum locations, critical values, the
 witness level m and the arcs of {F < m} are floats.  The module also
 sweeps the mode family and builds the smooth cutoff data used by the
 counterexample constructions.
@@ -17,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
@@ -30,46 +31,6 @@ TWO_PI = 2.0 * math.pi
 CONNECTED = "CONNECTED"
 DISCONNECTED = "DISCONNECTED"
 UNKNOWN_AT_BOUND = "UNKNOWN_AT_BOUND"
-
-
-# ---------------------------------------------------------------------------
-# Mode combinations and primitives
-# ---------------------------------------------------------------------------
-
-
-def mode_combination(op, xi, alpha2) -> TrigPoly:
-    """theta(t) = <b(t), xi> + <f(t), alpha> as an exact TrigPoly.
-
-    Rational constant offsets are folded in.  An irrational offset that
-    enters with a nonzero weight has no TrigPoly form and raises
-    ValueError; it cannot occur in the oscillatory regime, where the mean
-    vanishes.
-    """
-    terms = [(op.b[j], Fraction(xi[j])) for j in range(op.r)]
-    terms += [(op.f[k], Fraction(alpha2[k], 2)) for k in range(op.s)]
-    acc = TrigPoly.zero()
-    for fn, weight in terms:
-        if not weight:
-            continue
-        poly = fn.poly
-        if not fn.offset.is_zero():
-            if not fn.offset.is_rational():
-                raise ValueError("irrational offsets have no TrigPoly form")
-            poly = poly + TrigPoly.constant(fn.offset.value)
-        acc = acc + poly.scale(weight)
-    return acc
-
-
-def primitive(op, xi, alpha2) -> TrigPoly:
-    """Periodic primitive F (F(0) = 0) of the mode combination.
-
-    Requires the combination to have zero mean, which is exactly the
-    regime in which sublevel connectedness is the deciding criterion.
-    """
-    theta = mode_combination(op, xi, alpha2)
-    if theta.mean_real() != 0:
-        raise ValueError("mode combination has nonzero mean; no periodic primitive")
-    return theta.primitive()
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +109,16 @@ def connected_all_m(F: TrigPoly) -> SublevelAnalysis:
     return analysis
 
 
+def argmax(F: TrigPoly) -> float:
+    """Where the real TrigPoly F is largest (0 for a constant F).
+
+    The maximum is a strict maximum, where F' turns from + to -; the exact
+    pattern lists them and their float values pick the largest.
+    """
+    tops = [t for t, s in sign_pattern(F.derivative()) if s < 0]
+    return max(tops, key=lambda t: F(t).real, default=0.0)
+
+
 # ---------------------------------------------------------------------------
 # Family sweep
 # ---------------------------------------------------------------------------
@@ -220,8 +191,8 @@ def _sweep(op, bound: int, need_both_signs: bool) -> Optional[FamilyReport]:
     vectors = sorted(_primitive_vectors(op.r, op.s, bound), key=order)
     for u in vectors:
         xi, alpha2 = _vector_to_mode(u, op.r, op.s)
-        theta = mode_combination(op, xi, alpha2)
-        if theta.is_zero() or theta.mean_real() != 0:
+        theta = op.mode(xi, alpha2).imag
+        if theta is None or theta.is_zero() or theta.mean_real() != 0:
             continue
         key = theta.scale(1 / abs(theta.lead()))    # the ray of theta
         if key in seen:

@@ -27,18 +27,22 @@ TWO_PI = 2.0 * math.pi
 _BELOW_TWO_PI = math.nextafter(TWO_PI, 0.0)
 
 
+def _rational(x) -> Fraction:
+    return x if type(x) is Fraction else Fraction(x)
+
+
 class TrigPoly:
     """Finitely supported map frequency -> complex rational coefficient."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_floats")
 
     def __init__(self, coeffs=None):
         self.coeffs: dict[int, tuple[Fraction, Fraction]] = {}
         if coeffs:
             for k, c in coeffs.items():
-                re, im = c if isinstance(c, tuple) else (c, Fraction(0))
-                re, im = Fraction(re), Fraction(im)
-                if re != 0 or im != 0:
+                re, im = c if isinstance(c, tuple) else (c, 0)
+                re, im = _rational(re), _rational(im)
+                if re or im:
                     self.coeffs[int(k)] = (re, im)
 
     # -- constructors ------------------------------------------------------
@@ -159,7 +163,12 @@ class TrigPoly:
         return TrigPoly(out)
 
     def real_part(self) -> "TrigPoly":
-        return (self + self.conj()).scale(Fraction(1, 2))
+        """Re p: coefficient (c_k + conj c_-k) / 2 at k."""
+        out = {}
+        for k in self.coeffs.keys() | {-k for k in self.coeffs}:
+            (re, im), (cre, cim) = self.coefficient(k), self.coefficient(-k)
+            out[k] = ((re + cre) / 2, (im - cim) / 2)
+        return TrigPoly(out)
 
     def imag_part(self) -> "TrigPoly":
         return (self - self.conj()).scale((0, Fraction(-1, 2)))
@@ -199,11 +208,21 @@ class TrigPoly:
 
     # -- evaluation --------------------------------------------------------
 
+    @property
+    def floats(self) -> dict[int, complex]:
+        """The coefficients as complex floats, converted once: a TrigPoly is
+        not changed after construction."""
+        try:
+            return self._floats
+        except AttributeError:
+            self._floats = {k: complex(re, im) for k, (re, im) in self.coeffs.items()}
+            return self._floats
+
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         out = np.zeros(t.shape, dtype=complex)
-        for k, (re, im) in self.coeffs.items():
-            out = out + complex(re, im) * np.exp(1j * k * t)
+        for k, c in self.floats.items():
+            out = out + c * np.exp(1j * k * t)
         if out.shape == ():
             return complex(out)
         return out

@@ -202,3 +202,15 @@ def test_one_key_on_both_sides_gives_one_row_per_side():
     assert zero_set_finiteness(op) == (False, True)
     _, gh = classify(op)
     assert (gh.status, gh.clause) == (YES, CLAUSE_I)
+
+
+def test_two_keys_on_one_side_leave_finiteness_undecided():
+    # sqrt 8 = 2 sqrt 2 under its own key: sigma(0, (2k, -k)) = 0 for every
+    # k, so the zero set is infinite, and independent keys would say finite
+    sqrt8 = TaggedReal.non_liouville(8 ** 0.5, key="sqrt8")
+    op = _op(2, 0, a=[SHARED, sqrt8], b=[0, 0])
+    assert zero_set_finiteness(op) == (None, None)
+    assert zero_set(op).finite is None
+    # one key on each side stays decided
+    op = _op(2, 0, a=[SHARED, 0], b=[0, OTHER])
+    assert zero_set_finiteness(op) == (False, True)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import (mode_residual, odd_length_case, odd_length_u,
                       op_oscillatory_solvable, op_rational_constant,
                       op_span1_hypoelliptic, trig_interpolant)
-from gsh import fourier, global_solver
+from gsh import fourier, sublevel
 from gsh.fourier import ModeIndex, SpectralField, enumerate_modes, random_field
 from gsh.global_solver import (RESONANT_ARGMAX, annihilator_test, apply_operator,
                                decay_certify, residual_sup, solve)
@@ -164,7 +164,7 @@ def test_oscillation_argmax_is_the_maximum_of_the_primitive():
     t = TWO_PI * np.arange(2**16) / 2**16
     for theta_osc in thetas:
         prim = theta_osc.primitive()
-        t_star = global_solver._oscillation_argmax(theta_osc)
+        t_star = sublevel.argmax((-prim).real_part())
         assert -prim(t_star).real >= (-prim(t).real).max() - 1e-12
 
 
@@ -338,8 +338,7 @@ def test_modes_agree_with_the_integral_formula_reference():
             u = rep.solution.get(mode)
             diff = u - solve_mode(ode).values
             if resonant:
-                t_star = global_solver._oscillation_argmax(
-                    op.theta_osc(mode.xi, mode.alpha2))
+                t_star = op.mode(mode.xi, mode.alpha2).argmax
                 assert abs(trig_interpolant(u, [t_star])[0]) < 1e-12
                 h = homogeneous(ode)
                 diff = diff - (np.vdot(h, diff) / np.vdot(h, h)) * h

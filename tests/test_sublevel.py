@@ -10,7 +10,7 @@ from conftest import (_sin3_2t, op_disconnected_sublevel,
                       op_oscillatory_solvable)
 from gsh.sublevel import (CONNECTED, DISCONNECTED, bump, circular_plateau,
                           connected_all_m, connectedness_family,
-                          disjoint_closure_pair, mode_combination, primitive)
+                          disjoint_closure_pair)
 from gsh.operator_model import CLAUSE_III, EvolutionOperator, classify
 from gsh.trigpoly import TrigPoly, real_root_isolation
 
@@ -19,10 +19,10 @@ TWO_PI = 2.0 * math.pi
 
 def test_mode_combination_and_primitive():
     op = op_disconnected_sublevel()
-    theta = mode_combination(op, xi=(0,), alpha2=(2,))
+    theta = op.mode(xi=(0,), alpha2=(2,)).imag
     ts = TWO_PI * np.arange(101) / 101
     assert np.abs(theta(ts) - np.sin(2 * ts) ** 3).max() < 1e-12
-    F = primitive(op, xi=(0,), alpha2=(2,))
+    F = theta.primitive()
     # exact primitive: 3/8 (1 - cos 2t) - 1/24 (1 - cos 6t)
     oracle = 3.0 / 8.0 * (1 - np.cos(2 * ts)) - (1 - np.cos(6 * ts)) / 24.0
     assert np.abs(F(ts) - oracle).max() < 1e-12
