@@ -37,7 +37,7 @@ def main():
 
     print(f"modes solved:        {rep.mode_count}")
     print(f"resonant modes:      {len(rep.resonant_modes)}")
-    print(f"residual sup norm:   {rep.residual_sup:.3e}")
+    print(f"residual bound:      {rep.residual_bound:.3e}")
     print(f"sup ratio |u|/2pi|g|: {rep.sup_ratio:.3f} "
           f"(bounded: {rep.sup_bound_ok})")
     print(f"solve time:          {dt:.2f}s")

@@ -138,7 +138,7 @@ def _cmd_solve(args) -> int:
         _emit({"status": "UNSOLVABLE",
                "compatibility": abs(exc.compatibility)}, args)
         return EXIT_MEMBERSHIP
-    report = {"status": "SOLVED", "residual_sup": rep.residual_sup,
+    report = {"status": "SOLVED", "residual_bound": rep.residual_bound,
               "mode_count": rep.mode_count,
               "resonant_modes": len(rep.resonant_modes),
               "strategy": rep.strategy, "sup_ratio": rep.sup_ratio}
@@ -147,7 +147,7 @@ def _cmd_solve(args) -> int:
             json.dump(rep.solution.to_json(), fh)
         report["solution_file"] = args.solution_out
     _emit(report, args)
-    if rep.residual_sup > max(args.tolerance, 1e-12) * 100:
+    if rep.residual_bound > max(args.tolerance, 1e-12) * 100:
         return EXIT_VERIFICATION
     return EXIT_OK
 

@@ -94,11 +94,8 @@ def _probe(op, bound: int) -> tuple[float, float, float]:
         v = (tau, *xi, *alpha2, 1)
         if symbol.is_zero(v):
             continue
-        mag = abs(symbol.value(v))
-        if mag == 0.0:
-            continue
         w = abs(tau) + sum(abs(x) for x in xi) + sum(abs(a) for a in alpha2) / 2.0
-        entries.append((max(w, 1.0), mag))
+        entries.append((max(w, 1.0), abs(symbol.value(v))))
     if not entries:
         return 1.0, 0.0, math.inf
     sweep_min = min(m for _, m in entries)

@@ -40,6 +40,12 @@ class ModeIndex:
             for v2 in (a2, b2):
                 if abs(v2) > l2 or (l2 - v2) % 2 != 0:
                     raise ValueError(f"invalid mode index {self}")
+        # a mode keys the tables of every field: hash it once
+        object.__setattr__(self, "_hash",
+                           hash((self.xi, self.l2, self.alpha2, self.beta2, self.tau)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def d_ell(self) -> int:
@@ -238,7 +244,8 @@ class SpectralField:
         self.table[mode] = values
 
     def get(self, mode: ModeIndex) -> np.ndarray:
-        return self.table.get(mode, np.zeros(self.nt, dtype=complex))
+        values = self.table.get(mode)
+        return np.zeros(self.nt, dtype=complex) if values is None else values
 
     def copy_empty(self) -> "SpectralField":
         return SpectralField(self.r, self.s, self.bound, self.nt)

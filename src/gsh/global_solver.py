@@ -2,18 +2,22 @@
 
 Each partial Fourier mode of g yields a scalar periodic ODE
 u' + theta(t) u = g with theta(t) = i<c(t), xi> + i<d(t), alpha> + q.
-Theta is a trigonometric polynomial of small bandwidth, so the ODE is a
-banded linear system in the Fourier coefficients of u, and one
+Theta is a trigonometric polynomial of small bandwidth bw, so the ODE is a
+band linear system in the Fourier coefficients of u, and one
 Fourier-Galerkin kernel solves every (xi, alpha) group of modes that
-share theta.  The solver reads theta from the operator's mode symbol
-(``op.mode``): its mean, its oscillation and that oscillation's float
-coefficients and primitive.  Non-resonant modes have a unique periodic
-solution.  Resonant modes need a vanishing compatibility integral and
-admit a one-parameter family; the solver borders the system with the
-cokernel direction and with the pin u(t*) = 0 at the argmax of the
-oscillation primitive, the member that stays uniformly bounded in the
-oscillatory regime.  t* is the symbol's exact-pattern ``argmax``, kept
-with the symbol, so repeated solves of one operator find it once.
+share theta: LAPACK's band LU (zgbtrf) factors the group's matrix once and
+zgbtrs solves all of its rows.  The solver reads theta from the operator's
+mode symbol (``op.mode``): its mean, its oscillation and that
+oscillation's float coefficients and primitive.  Non-resonant modes have a
+unique periodic solution.  Resonant modes need a vanishing compatibility
+integral and admit a one-parameter family; the solver borders the system
+with the cokernel direction and with the pin u(t*) = 0 at the argmax of
+the oscillation primitive, the member that stays uniformly bounded in the
+oscillatory regime, and solves the bordered system through a diagonal
+deflation that keeps the band.  t* is the symbol's exact-pattern
+``argmax``, kept with the symbol, so repeated solves of one operator find
+it once.  The reported residual is a bound on the whole circle: the l1
+norm of the Fourier coefficients of L u - g.
 """
 
 from __future__ import annotations
@@ -146,15 +150,17 @@ def _grid_size(N: int) -> int:
     return max(64, 1 << (2 * N).bit_length())
 
 
-def _group_data(sym, g: SpectralField,
-                modes: list[ModeIndex]) -> tuple[int, np.ndarray, np.ndarray]:
-    """(N, g's coefficients k = -N..N, max|g| per row) of one group, read
-    off one gather and one FFT of its rows."""
+def _group_data(sym, g: SpectralField, modes: list[ModeIndex]):
+    """(N, g's coefficients k = -K..K with K = N + bw, the l1 norm of the
+    rest per row, max|g| per row) of one group, read off one gather and one
+    FFT of its rows.  K covers the band of L u for u of band N."""
     G = _rows(g, modes)
     hat = np.fft.fft(G, axis=1) / g.nt
     N = _truncation(sym, hat)
-    band = np.fft.fftshift(fourier.place_spectrum(hat, 2 * N + 1), axes=1)
-    return N, band, np.abs(G).max(axis=1)
+    K = N + sym.osc.bandwidth
+    band = np.fft.fftshift(fourier.place_spectrum(hat, 2 * K + 1), axes=1)
+    beyond = np.abs(np.fft.fftfreq(g.nt, d=1.0 / g.nt)) > K
+    return N, band, np.abs(hat[:, beyond]).sum(axis=1), np.abs(G).max(axis=1)
 
 
 def _synthesize(C: np.ndarray, n: int) -> np.ndarray:
@@ -163,15 +169,22 @@ def _synthesize(C: np.ndarray, n: int) -> np.ndarray:
     return np.fft.ifft(hat, axis=1) * n
 
 
-def _adjoint_row(sym, N: int, n: int) -> np.ndarray:
-    """y with y . g_hat = (1 / 2 pi) * integral of g e^{imt + prim}.
+def _null_rows(sym, N: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(y, z) of a resonant group, on k = -N..N: y . g_hat = (1 / 2 pi) *
+    integral of g e^{imt + prim}, and z the coefficients of e^{-imt - prim}.
 
-    e^{imt + prim} spans the cokernel of a resonant mode, so y annihilates
-    the range of the Galerkin matrix up to truncation.
+    e^{imt + prim} spans the cokernel of a resonant mode and e^{-imt - prim}
+    its kernel, so y annihilates the range of the Galerkin matrix and z
+    spans its null space, both up to truncation.  z only places the
+    deflation, so its scale is free: its samples are taken with largest
+    modulus 1, as e^{-prim} alone can overflow where e^{prim} does not.
     """
     ts = TWO_PI * np.arange(n) / n
-    ell = np.exp(1j * sym.resonant_m * ts + sym.primitive(ts))
-    return (np.fft.fft(ell) / n)[-np.arange(-N, N + 1) % n]
+    phase = 1j * sym.resonant_m * ts + sym.primitive(ts)
+    ks = np.arange(-N, N + 1)
+    y = np.fft.fft(np.exp(phase)) / n
+    z = np.fft.fft(np.exp(phase.real.min() - phase)) / n
+    return y[-ks % n], z[ks % n]
 
 
 def _gate(y: np.ndarray, Ghat: np.ndarray, gmax: np.ndarray, tol: float):
@@ -186,29 +199,91 @@ def _gate(y: np.ndarray, Ghat: np.ndarray, gmax: np.ndarray, tol: float):
     return TWO_PI * dots, bad
 
 
+def _band(sym, ks: np.ndarray) -> np.ndarray:
+    """M = diag(theta0 + ik) + (convolution by theta_osc) in LAPACK band
+    storage for zgbtrf, kl = ku = bw: M[i, j] sits at row 2 bw + i - j of
+    column j, and the first bw rows are zgbtrf's workspace."""
+    bw, n = sym.osc.bandwidth, len(ks)
+    ab = np.zeros((3 * bw + 1, n), dtype=complex)
+    ab[2 * bw] = sym.theta0 + 1j * ks
+    for j, c in sym.osc.floats.items():
+        ab[2 * bw + j, max(0, -j):n - max(0, j)] = c      # M[i, i - j] = c_j
+    return ab
+
+
+def _band_apply(sym, ks: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """M C for coefficient rows C, M truncated to k = -N..N."""
+    out = (sym.theta0 + 1j * ks) * C
+    n = len(ks)
+    for j, c in sym.osc.floats.items():
+        out[:, max(0, j):n + min(0, j)] += c * C[:, max(0, -j):n - max(0, j)]
+    return out
+
+
+def _factor(ab: np.ndarray, bw: int):
+    """zgbtrf's factors of a band matrix, as a solver of M X = B for
+    column stacks B.  scipy.linalg is imported on the first solve: its
+    import takes about 0.3 s and 20 MB, which classification never needs."""
+    from scipy.linalg.lapack import zgbtrf, zgbtrs
+    lu, piv, info = zgbtrf(ab, bw, bw)
+    if info:
+        raise np.linalg.LinAlgError(f"zgbtrf returned info = {info}")
+    return lambda B: zgbtrs(lu, bw, bw, B, piv)[0]
+
+
 def _galerkin_solve(sym, Ghat: np.ndarray,
-                    y: Optional[np.ndarray],
+                    null: Optional[tuple[np.ndarray, np.ndarray]],
                     t_star: Optional[float]) -> np.ndarray:
     """Solve u' + theta u = g in coefficients k = -N..N for a stack of rows.
 
-    M = diag(theta0 + ik) + (convolution by theta_osc's coefficients).  A
-    resonant group solves the bordered system [[M, w], [p, 0]] [u; mu] =
-    [g_hat; 0] with w = conj(y) / |y| and p_k = e^{ik t_star}: the row p
-    pins u(t_star) = 0 and the column w takes up the part of g outside the
-    range of M, so the solution comes out in the argmax normalization.
+    M = diag(theta0 + ik) + (convolution by theta_osc's coefficients), a
+    band matrix of bandwidth bw = theta_osc's, factored once per group.  A
+    resonant group, with ``null`` = (y, z) from _null_rows, solves the
+    bordered system [[M, w], [p, 0]] [u; mu] = [g_hat; 0] with
+    w = conj(y) / |y| and p_k = e^{ik t_star}: the row p pins u(t_star) = 0
+    and the column w takes up the part of g outside the range of M, so the
+    solution comes out in the argmax normalization.
+
+    That M is singular to rounding, so the border is not eliminated through
+    M^-1: mu = y . g_hat / |y| leaves M u = h = g_hat - w mu in the range
+    of M, and with the band matrix M' = M + (1 + |theta0|) e_a e_a^T,
+    x = M'^-1 h and v = M'^-1 e_a, u = x - (p . x / p . v) v.  det M' is
+    proportional to y_a z_a, so a is where |y_a z_a| is largest (k = -m
+    for a real primitive; the mean of e^{i A sin t} vanishes at a zero of
+    J0).  One step of iterative refinement against the bordered equations,
+    with the same factors, takes out the rounding the deflation lets in.
     """
     size = Ghat.shape[1]
     ks = np.arange(size) - (size - 1) // 2
-    M = np.diag(sym.theta0 + 1j * ks)
-    for j, c in sym.osc.floats.items():
-        M += c * np.eye(size, k=-j)
-    if y is None:
-        return np.linalg.solve(M, Ghat.T).T
-    w = y.conj()[:, None] / np.linalg.norm(y)
-    p = np.exp(1j * ks * t_star)[None, :]
-    border = np.block([[M, w], [p, np.zeros((1, 1))]])
-    rhs = np.vstack([Ghat.T, np.zeros((1, len(Ghat)))])
-    return np.linalg.solve(border, rhs)[:-1].T
+    bw = sym.osc.bandwidth
+    ab = _band(sym, ks)
+    if null is None:
+        return _factor(ab, bw)(Ghat.T).T
+    y, z = null
+    a = int(np.argmax(np.abs(y * z)))
+    ab[2 * bw, a] += 1.0 + abs(sym.theta0)
+    solve_ = _factor(ab, bw)
+    w = y.conj() / np.linalg.norm(y)
+    p = np.exp(1j * ks * t_star)
+
+    def range_part(F):
+        """The columns h = F - w mu, mu = y . F / |y|, of rows F."""
+        return (F - np.outer(F @ w.conj(), w)).T
+
+    H = range_part(Ghat)
+    B = np.zeros((size, len(Ghat) + 1), dtype=complex, order="F")
+    B[:, :-1] = H
+    B[a, -1] = 1.0
+    XV = solve_(B)
+    v = XV[:, -1]
+
+    def pinned(X, c):
+        """x - ((p . x - c) / p . v) v for rows X: p . u = c."""
+        return X - np.outer((X @ p - c) / (p @ v), v)
+
+    U = pinned(XV[:, :-1].T, 0.0)
+    R = H.T - _band_apply(sym, ks, U)
+    return U + pinned(solve_(range_part(R)).T, -(U @ p))
 
 
 def annihilator_test(op, g: SpectralField, tol: float = 1e-9) -> AnnihilatorReport:
@@ -220,8 +295,10 @@ def annihilator_test(op, g: SpectralField, tol: float = 1e-9) -> AnnihilatorRepo
         if not sym.resonant:
             continue
         resonant.extend(modes)
-        N, Ghat, gmax = _group_data(sym, g, modes)
-        comp, bad = _gate(_adjoint_row(sym, N, _grid_size(N)), Ghat, gmax, tol)
+        N, band, _, gmax = _group_data(sym, g, modes)
+        y, _ = _null_rows(sym, N, _grid_size(N))
+        bw = sym.osc.bandwidth
+        comp, bad = _gate(y, band[:, bw:bw + 2 * N + 1], gmax, tol)
         violations.extend((modes[i], complex(comp[i]))
                           for i in np.flatnonzero(bad))
     return AnnihilatorReport(ok=not violations, violations=violations,
@@ -236,12 +313,35 @@ def annihilator_test(op, g: SpectralField, tol: float = 1e-9) -> AnnihilatorRepo
 @dataclass
 class SolveReport:
     solution: SpectralField
-    residual_sup: float
+    residual_bound: float
     mode_count: int
     resonant_modes: list[ModeIndex]
     strategy: str
     sup_bound_ok: bool
     sup_ratio: float
+
+
+def _worse(a: float, b: float) -> float:
+    """max(a, b), reading a NaN b, which bounds nothing, as inf."""
+    return max(a, b) if b == b else math.inf
+
+
+def _residual_bound(sym, U: np.ndarray, band: np.ndarray,
+                    tail: np.ndarray) -> float:
+    """max over rows of sum_k |R_k| + tail, R = L u_hat - g_hat: a bound of
+    |L u - g| at every t, for u the interpolant of the samples U.
+
+    u_hat is read off one FFT of U, so the bound covers the solution as
+    stored; padded by bw zeros on each side, it holds all of L u_hat's
+    band.  ``tail`` bounds the l1 norm of g_hat outside the plan's band.
+    """
+    n = U.shape[1]
+    m = 2 * (n // 2 + sym.osc.bandwidth) + 1
+    hat = np.fft.fftshift(fourier.place_spectrum(np.fft.fft(U, axis=1) / n, m), axes=1)
+    R = _band_apply(sym, np.arange(m) - m // 2, hat)
+    K = band.shape[1] // 2
+    R[:, m // 2 - K:m // 2 + K + 1] -= band
+    return float((np.abs(R).sum(axis=1) + tail).max())
 
 
 def solve(op, g: SpectralField, tol: float = 1e-9,
@@ -254,10 +354,14 @@ def solve(op, g: SpectralField, tol: float = 1e-9,
     ModeUnsolvable on a resonant mode whose compatibility fails the gate
     (unless ``check_compat`` is off).  Resonant modes vanish at the argmax
     of the oscillation primitive, and the report carries the sup-norm
-    certificate max|u_mode| <= 2 pi max|g_mode| for them.
+    certificate max|u_mode| <= 2 pi max|g_mode| for them.  The reported
+    ``residual_bound`` is the l1 norm of the Fourier coefficients of
+    L u - g, maximized over the modes, which bounds |L u - g| on the whole
+    circle; ``residual_sup`` samples the same residual.
     """
-    # Each plan holds only its group's 2N + 1 coefficients, and is dropped
-    # once solved, so the plans never hold more than the solution will.
+    # Each plan holds only its group's coefficients |k| <= N + bw, and is
+    # dropped once solved, so the plans never hold more than the solution
+    # will.
     plans = [(sym, modes, *_group_data(sym, g, modes))
              for sym, modes in _walk(op, g)]
     nt_u = _grid_size(max([0] + [plan[2] for plan in plans]))
@@ -265,19 +369,22 @@ def solve(op, g: SpectralField, tol: float = 1e-9,
     resonant = []
     sup_ratio = 0.0
     sup_ok = True
+    bound = 0.0
     plans.reverse()
     while plans:
-        sym, modes, N, Ghat, gmax = plans.pop()
-        y = t_star = None
+        sym, modes, N, band, tail, gmax = plans.pop()
+        Ghat = band[:, sym.osc.bandwidth:sym.osc.bandwidth + 2 * N + 1]
+        null = t_star = None
         if sym.resonant:
             resonant.extend(modes)
-            y = _adjoint_row(sym, N, nt_u)
+            null = _null_rows(sym, N, nt_u)
             if check_compat:
-                comp, bad = _gate(y, Ghat, gmax, tol)
+                comp, bad = _gate(null[0], Ghat, gmax, tol)
                 if bad.any():
                     raise ode_solver.ModeUnsolvable(complex(comp[np.argmax(bad)]))
             t_star = sym.argmax
-        U = _synthesize(_galerkin_solve(sym, Ghat, y, t_star), nt_u)
+        U = _synthesize(_galerkin_solve(sym, Ghat, null, t_star), nt_u)
+        bound = _worse(bound, _residual_bound(sym, U, band, tail))
         umax = np.abs(U).max(axis=1)
         nz = gmax > 0
         if nz.any():
@@ -285,10 +392,8 @@ def solve(op, g: SpectralField, tol: float = 1e-9,
             sup_ratio = max(sup_ratio, ratio)
             if sym.resonant and ratio > 1.0 + 1e-9:
                 sup_ok = False
-        for i, mode in enumerate(modes):
-            u.set(mode, U[i])
-    residual = residual_sup(op, u, g)
-    return SolveReport(solution=u, residual_sup=residual,
+        u.table.update(zip(modes, U))
+    return SolveReport(solution=u, residual_bound=bound,
                        mode_count=len(g.table), resonant_modes=resonant,
                        strategy=RESONANT_ARGMAX, sup_bound_ok=sup_ok,
                        sup_ratio=sup_ratio)
@@ -296,15 +401,15 @@ def solve(op, g: SpectralField, tol: float = 1e-9,
 
 def residual_sup(op, u: SpectralField, g: SpectralField,
                  refine: int = 4) -> float:
-    """sup-norm of L u - g over all modes, on a ``refine``-times finer grid,
-    taken one (xi, alpha2) group at a time: L u - g is formed in
-    coefficients and synthesized with one inverse FFT per group."""
+    """sup-norm of L u - g over all modes, sampled on a ``refine``-times
+    finer grid, taken one (xi, alpha2) group at a time: L u - g is formed
+    in coefficients and synthesized with one inverse FFT per group."""
     nt = refine * u.nt
     worst = 0.0
     for sym, modes in _walk(op, u, g):
         R = (_apply(sym, _spectrum(u, modes), nt)
              - fourier.place_spectrum(_spectrum(g, modes), nt))
-        worst = max(worst, float(np.abs(np.fft.ifft(R, axis=1)).max()) * nt)
+        worst = _worse(worst, float(np.abs(np.fft.ifft(R, axis=1)).max()) * nt)
     return worst
 
 

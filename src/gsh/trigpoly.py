@@ -379,12 +379,59 @@ def _roots(Q: list[int]) -> list[float]:
     return roots
 
 
+def _newton(Q: list[int], lo: int, hi: int, e: int, s_hi: int) -> Optional[float]:
+    """A float estimate of the one root of Q in (lo / 2^e, hi / 2^e): Newton
+    steps, a step that leaves the interval replaced by bisection on the
+    float sign of Q.  None when the floats overflow or the steps do not
+    settle."""
+    try:
+        a = [float(c) for c in reversed(Q)]
+        lo, hi = lo / (1 << e), hi / (1 << e)
+    except OverflowError:
+        return None
+    x = 0.5 * (lo + hi)
+    for _ in range(64):
+        q = dq = 0.0
+        for c in a:
+            q, dq = q * x + c, dq * x + q
+        if not (math.isfinite(q) and math.isfinite(dq)):
+            return None
+        if q == 0.0:
+            return x
+        lo, hi = (lo, x) if (q > 0) == (s_hi > 0) else (x, hi)
+        step = x - q / dq if dq else lo
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+        if abs(step - x) <= math.ulp(x):
+            return step
+        x = step
+    return None
+
+
 def _refine(Q: list[int], lo: int, hi: int, e: int) -> float:
     """The one root of Q in (lo / 2^e, hi / 2^e], bisected on the sign of Q
-    to a width of 2^-55, which fixes the angle 2 atan x to 2^-54."""
+    to a width of 2^-55, which fixes the angle 2 atan x to 2^-54.
+
+    A float Newton estimate x goes first: when Q's exact signs put the root
+    within max(4 ulp(x), 2^-56) of x, the bisection starts from that bracket
+    instead of the isolating interval, and takes a few steps, not fifty.
+    """
     s_hi = _sign_at(Q, hi, e)
     if not s_hi:
         lo = hi
+    elif (x := _newton(Q, lo, hi, e, s_hi)) is not None:
+        f = max(e, 56, x.as_integer_ratio()[1].bit_length() - 1)
+
+        def scaled(v: float) -> int:      # v * 2^f, exact
+            num, den = v.as_integer_ratio()
+            return (num << f) // den
+
+        c, h = scaled(x), scaled(max(4 * math.ulp(x), 2.0 ** -56))
+        lo_f, hi_f = lo << (f - e), hi << (f - e)
+        a, b = max(c - h, lo_f), min(c + h, hi_f)
+        s_b = _sign_at(Q, b, f)
+        if a < b and s_b != -s_hi and (a == lo_f or _sign_at(Q, a, f) == -s_hi):
+            lo, hi, e = (a if s_b else b), b, f
     while (hi - lo) << 55 > 1 << e:
         mid, e = lo + hi, e + 1
         s = _sign_at(Q, mid, e)

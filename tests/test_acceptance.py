@@ -105,7 +105,7 @@ def test_criterion_04_manufactured_global_solve():
     g = global_solver.apply_operator(op, u_star, nt=256)
     g = SpectralField(1, 1, 6, 256, g.table)
     rep = global_solver.solve(op, g)
-    assert rep.residual_sup <= 1e-8
+    assert rep.residual_bound <= 1e-8
     resonant = set(rep.resonant_modes)
     worst = 0.0
     for mode in u_star.table:

@@ -79,7 +79,7 @@ def test_solve_round_trip(tmp_path, capsys):
     assert code == cli.EXIT_OK
     rep = json.loads(capsys.readouterr().out)
     assert rep["status"] == "SOLVED"
-    assert rep["residual_sup"] < 1e-8
+    assert rep["residual_bound"] < 1e-8
     back = SpectralField.from_json(json.loads(sol_path.read_text()))
     assert back.table
 
@@ -94,7 +94,7 @@ def test_solve_odd_length_field(tmp_path, capsys):
     code = cli.main(["solve", _write_op(tmp_path, op), str(g_path),
                      "--solution-out", str(sol_path)])
     assert code == cli.EXIT_OK
-    assert json.loads(capsys.readouterr().out)["residual_sup"] < 1e-10
+    assert json.loads(capsys.readouterr().out)["residual_bound"] < 1e-10
     u = SpectralField.from_json(json.loads(sol_path.read_text())).get(mode)
     t = np.linspace(0.0, TWO_PI, 97)
     assert np.abs(trig_interpolant(u, t) - odd_length_u(t)).max() < 1e-12

@@ -16,7 +16,8 @@ from gsh.diophantine import (FAILS, HOLDS, METHOD_EXACT, METHOD_QUALITATIVE,
                              exp_gap_lower_bound,
                              liouville_violation_sequence)
 from gsh.numerics import TaggedReal, standard_liouville
-from gsh.operator_model import EvolutionOperator, operator_from_json
+from gsh.operator_model import (UNKNOWN_AT_BOUND, EvolutionOperator,
+                                operator_from_json, operator_to_json)
 
 
 def test_exact_floor_value():
@@ -105,6 +106,25 @@ def test_two_irrational_keys_unknown():
     rep = dc_check(op, bound=6)
     assert rep.status == UNKNOWN
     assert rep.sweep_min is not None and rep.sweep_min > 0
+
+
+def test_an_undecided_zero_enters_the_sweep(tmp_path):
+    # sqrt 8 = 2 sqrt 2 under its own key: sigma(0, (2k, -k)) is 0.0 in
+    # floats and undecided exactly; the sweep used to skip those modes and
+    # report a minimum of 0.071
+    op = EvolutionOperator(
+        2, 0,
+        a=[TaggedReal.non_liouville(math.sqrt(2.0), key="A"),
+           TaggedReal.non_liouville(math.sqrt(8.0), key="B")],
+        b=[0, 0], e=[], f=[], q_re=0, q_im=0)
+    path, out = tmp_path / "op.json", tmp_path / "out.json"
+    path.write_text(json.dumps(operator_to_json(op)))
+    assert cli.main(["--out", str(out), "check-dc", str(path)]) == cli.EXIT_UNKNOWN
+    rep = json.loads(out.read_text())
+    assert (rep["status"], rep["sweep_min"]) == (UNKNOWN, 0.0)
+    assert cli.main(["--out", str(out), "classify", str(path)]) == cli.EXIT_UNKNOWN
+    rep = json.loads(out.read_text())
+    assert rep["GS"]["status"] == rep["GH"]["status"] == UNKNOWN_AT_BOUND
 
 
 def test_liouville_sequence_keeps_the_rational_part(tmp_path):
